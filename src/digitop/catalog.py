@@ -254,11 +254,16 @@ def _classified_entries(family: str, n: int, items: Items) -> list[CatalogEntry]
     return entries
 
 
+def _lattice_parents(family: str, n: int, parents: list) -> list:
+    """The fixed cell-set masks of level n, grown from those of level n - 1."""
+    kind = 4 if family == "adj4" else 8
+    return [1] if n == 1 else grow_masks(kind, parents)
+
+
 def _resume_parents(family: str, n: int, parents: list, entries: list[CatalogEntry]) -> list:
     if family == "abstract":
         return [entry.canonical for entry in entries]
-    kind = 4 if family == "adj4" else 8
-    return [1] if n == 1 else grow_masks(kind, parents)
+    return _lattice_parents(family, n, parents)
 
 
 def _level_parents(family: str, n: int, parents: list, mem_budget: float | None) -> list:
@@ -266,8 +271,7 @@ def _level_parents(family: str, n: int, parents: list, mem_budget: float | None)
     canonical pass since growth needs only the raw masks."""
     if family == "abstract":
         return _level_items(family, n, parents, None, mem_budget)[1]
-    kind = 4 if family == "adj4" else 8
-    return [1] if n == 1 else grow_masks(kind, parents)
+    return _lattice_parents(family, n, parents)
 
 
 def build_catalog(

@@ -4,8 +4,13 @@ Three families:
 
 * ``abstract`` -- connected images on n points, grown by attaching a new
   point to every nonempty subset of an (n-1)-point class and deduplicating
-  by canonical form (every connected graph has a non-cut vertex, so the
-  induction reaches every class);
+  by canonical form.  A child is labeled only when no other non-cut point
+  has a smaller invariant (degree, then sorted neighbor degrees) than the
+  new point: a deletion test in the manner of McKay's canonical
+  augmentation.  The induction still reaches every class: deleting a
+  non-cut point w of least invariant from a connected image G leaves a
+  connected parent, and attaching a point to w's neighbors there gives
+  back G as a child that passes the test;
 * ``adj4`` -- images in Z^2 with 4-adjacency, via fixed polyominoes;
 * ``adj8`` -- images in Z^2 with 8-adjacency, via fixed polyplets.
 
@@ -31,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import _kernels
-from .image import CanonicalForm, DigitalImage, _encode_rows, graph6_decode
+from .image import CanonicalForm, DigitalImage, _bits, _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
 
@@ -270,18 +275,69 @@ def merge_sorted_items(
 # Family generation steps
 
 
+def _spans(rows: list[int], alive: int) -> bool:
+    """Whether the points in the ``alive`` bitmask induce a connected image."""
+    seen = frontier = alive & -alive
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = rows[low.bit_length() - 1] & alive & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == alive
+
+
+def _smaller_deletable_point(rows: list[int], parent_degrees: list[int], subset: int) -> bool:
+    """Whether some old point of the child is a better point to delete than
+    the new one (index ``len(parent_degrees)``, neighbors ``subset``).
+
+    An old point is better when it is not a cut point and its invariant is
+    smaller: its degree, then the sorted degrees of its neighbors.  The
+    flood fill runs only on points whose invariant is smaller.
+    """
+    degree = subset.bit_count()
+    everyone = (1 << len(rows)) - 1
+    degrees = None
+    for point, parent_degree in enumerate(parent_degrees):
+        point_degree = parent_degree + (subset >> point & 1)
+        if point_degree > degree:
+            continue
+        if point_degree == degree:
+            if degrees is None:
+                degrees = [d + (subset >> p & 1) for p, d in enumerate(parent_degrees)]
+                degrees.append(degree)
+                new_key = sorted([degrees[q] for q in _bits(subset)])
+            if sorted([degrees[q] for q in _bits(rows[point])]) >= new_key:
+                continue
+        if _spans(rows, everyone ^ (1 << point)):
+            return True
+    return False
+
+
 def abstract_children(
     parent_codes: list[str],
     store: DedupStore,
     selector: Callable[[int], bool] | None = None,
 ) -> DedupStore:
-    """Attach one new point to every nonempty neighbor subset of each parent."""
+    """Attach one new point to every nonempty neighbor subset of each parent.
+
+    A child is canonically labeled only when no other non-cut point has a
+    smaller invariant than the new point (degree, then the sorted degrees of
+    the neighbors); the new point itself is never a cut point, since the
+    parent is connected.  This loses no class: take a connected image G and
+    a non-cut point w of least invariant.  G - w is connected, so its class
+    is a parent at the level below (in shard runs too), and attaching a
+    point to w's neighbors there gives G back as a child that passes the
+    test.  The invariant is isomorphism-invariant, so which parent labeling
+    is used does not matter.
+    """
     for index, code in enumerate(parent_codes):
         if selector is not None and not selector(index):
             continue
         parent = graph6_decode(code)
         m = parent.n
         base = list(parent.rows)
+        degrees = [row.bit_count() for row in base]
         new_bit = 1 << m
         child_n = m + 1
         for subset in range(1, 1 << m):
@@ -292,6 +348,8 @@ def abstract_children(
                 low = remaining & -remaining
                 remaining ^= low
                 rows[low.bit_length() - 1] |= new_bit
+            if _smaller_deletable_point(rows, degrees, subset):
+                continue
             canon = _kernels.canonical_rows(child_n, rows)
             store.add(_encode_rows(child_n, canon))
     return store

@@ -7,10 +7,14 @@ graph generation by iterating all edge subsets.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+import digitop
 
 settings.register_profile(
     "digitop",
@@ -109,3 +113,12 @@ def rng():
     import random
 
     return random.Random(0x5EED)
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """The current environment for a child interpreter that imports this
+    same ``digitop`` package, with ``overrides`` applied."""
+    env = dict(os.environ, **overrides)
+    package_root = str(Path(digitop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env

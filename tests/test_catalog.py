@@ -205,14 +205,17 @@ def test_sharded_build_matches_plain(tmp_path):
 
 
 def test_merge_run_without_preexisting_slices(tmp_path):
-    plain_dir = tmp_path / "plain"
-    shard_dir = tmp_path / "sharded"
-    build_catalog(plain_dir, "abstract", 5)
-    build_catalog(shard_dir, "abstract", 5, shards=4)
-    assert (
-        catalog_path(shard_dir, "abstract", 5).read_bytes()
-        == catalog_path(plain_dir, "abstract", 5).read_bytes()
-    )
+    # Each slice generates from its own parents only, so the merged level is
+    # complete only if every class has a generating child in some slice.
+    for n, shards in ((5, 4), (7, 3)):
+        plain_dir = tmp_path / f"plain{n}"
+        shard_dir = tmp_path / f"sharded{n}"
+        build_catalog(plain_dir, "abstract", n)
+        build_catalog(shard_dir, "abstract", n, shards=shards)
+        assert (
+            catalog_path(shard_dir, "abstract", n).read_bytes()
+            == catalog_path(plain_dir, "abstract", n).read_bytes()
+        )
 
 
 # ---------------------------------------------------------------------------

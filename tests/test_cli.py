@@ -11,6 +11,7 @@ from digitop.enumerator import CellSet
 from digitop.image import graph6_encode, lattice_to_image
 from digitop.lattice import builtin_fixtures
 
+from .conftest import subprocess_env
 from .test_catalog import _abstract_entry
 
 
@@ -150,6 +151,7 @@ def test_module_invocation(tmp_path):
         [sys.executable, "-m", "digitop", "fixtures", "--name", "fig1-1"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "name=fig1-1 g6=GrDKPK n=8"

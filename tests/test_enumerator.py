@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from digitop import _kernels
 from digitop._kernels import canonical_rows, lattice_rows
 from digitop.enumerator import (
     CellSet,
     DedupStore,
+    abstract_children,
     enumerate_abstract_connected,
     enumerate_fixed_polyominoes,
     enumerate_fixed_polyplets,
@@ -160,6 +162,29 @@ def test_abstract_classes_match_labeled_oracle(n):
         canonical_form(DigitalImage(n, rows)).code for rows in all_labeled_connected(n)
     }
     assert grown == brute
+
+
+def test_abstract_children_label_only_deletion_candidates(monkeypatch):
+    """From the 853 classes on 7 points, only the children that pass the
+    deletion test reach canonical labeling (108,331 children in all), and
+    they still yield every class on 8 points."""
+    parents = [cls.canonical.code for cls in enumerate_abstract_connected(7)]
+    assert len(parents) == 853
+    expected = [cls.canonical.code for cls in enumerate_abstract_connected(8)]
+
+    labelings = 0
+    label = _kernels.canonical_rows
+
+    def counted(n, rows):
+        nonlocal labelings
+        labelings += 1
+        return label(n, rows)
+
+    monkeypatch.setattr(_kernels, "canonical_rows", counted)
+    codes = abstract_children(parents, DedupStore()).sorted_codes()
+    assert labelings == 19652
+    assert len(codes) == 11117
+    assert codes == expected
 
 
 def test_abstract_classes_are_sorted_and_canonical():

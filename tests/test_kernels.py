@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from digitop import _kernels, _pure
 
-from .conftest import random_connected_rows
+from .conftest import random_connected_rows, subprocess_env
 
 _HAVE_CORE = importlib.util.find_spec("digitop._core") is not None
 needs_core = pytest.mark.skipif(not _HAVE_CORE, reason="compiled extension not built")
@@ -72,7 +72,7 @@ def _backend_in_subprocess(env_value):
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "DIGITOP_BACKEND": env_value},
+        env=subprocess_env(DIGITOP_BACKEND=env_value),
     )
     return proc
 
