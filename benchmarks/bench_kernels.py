@@ -13,22 +13,12 @@ import argparse
 import time
 
 from digitop import _pure
-from digitop.enumerator import _fixed_cell_masks, _mask_cells
-from digitop.image import graph6_decode
+from digitop.enumerator import _fixed_cell_masks, _mask_cells, enumerate_abstract_connected
 
 try:
     from digitop import _core
 except ImportError:
     _core = None
-
-
-def _connected_codes(n_max: int) -> list[str]:
-    from digitop.enumerator import DedupStore, abstract_children
-
-    codes = ["@"]
-    for _ in range(2, n_max + 1):
-        codes = abstract_children(codes, DedupStore()).sorted_codes()
-    return codes
 
 
 def _time(fn, repeat: int) -> float:
@@ -45,7 +35,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    graphs = [graph6_decode(code) for code in _connected_codes(7)]
+    graphs = [cls.representative for cls in enumerate_abstract_connected(7)]
     pairs = [(g.n, list(g.rows)) for g in graphs]
     cell_lists = [_mask_cells(mask) for mask in _fixed_cell_masks(8, 7)]
 

@@ -11,6 +11,7 @@ skipped, which makes interrupted long builds resumable per n.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -21,13 +22,12 @@ from typing import Callable, Iterable
 from . import _kernels
 from .enumerator import (
     FAMILIES,
-    Cell,
     CellSet,
-    DedupStore,
+    Item,
     abstract_children,
     grow_masks,
+    least_witness_items,
     mask_classes,
-    merge_sorted_items,
     read_shard_files,
     shard_files_exist,
     write_shard_files,
@@ -203,16 +203,13 @@ def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool
 # ---------------------------------------------------------------------------
 # Catalog builds
 
-Items = list[tuple[str, tuple[Cell, ...] | None]]
-
 
 def _level_items(
     family: str,
     n: int,
     parents: list,
     selector: Callable[[int], bool] | None,
-    mem_budget: float | None,
-) -> tuple[Items, list]:
+) -> tuple[list[Item], list]:
     """One enumeration level: sorted (code, witness) items plus next parents.
 
     Next parents are canonical codes for the abstract family and the full
@@ -221,20 +218,19 @@ def _level_items(
     """
     if family == "abstract":
         if n == 1:
-            items = [("@", None)] if selector is None or selector(0) else []
+            codes = ["@"] if selector is None or selector(0) else []
         else:
-            items = abstract_children(parents, DedupStore(mem_budget), selector).sorted_items()
-        return items, [code for code, _ in items]
+            codes = abstract_children(parents, selector)
+        return [(code, None) for code in codes], codes
     kind = 4 if family == "adj4" else 8
     if n == 1:
         masks = [1] if selector is None or selector(0) else []
     else:
         masks = grow_masks(kind, parents, selector)
-    items = mask_classes(kind, masks, DedupStore(mem_budget)).sorted_items()
-    return items, masks
+    return mask_classes(kind, masks), masks
 
 
-def _classified_entries(family: str, n: int, items: Items) -> list[CatalogEntry]:
+def _classified_entries(family: str, n: int, items: list[Item]) -> list[CatalogEntry]:
     flags = _classify_codes([code for code, _ in items])
     entries = []
     for (code, witness), (reducible, pointed, rigid, planar, cycle) in zip(items, flags):
@@ -266,11 +262,11 @@ def _resume_parents(family: str, n: int, parents: list, entries: list[CatalogEnt
     return _lattice_parents(family, n, parents)
 
 
-def _level_parents(family: str, n: int, parents: list, mem_budget: float | None) -> list:
+def _level_parents(family: str, n: int, parents: list) -> list:
     """Next-level parents without classifying; lattice levels skip the
     canonical pass since growth needs only the raw masks."""
     if family == "abstract":
-        return _level_items(family, n, parents, None, mem_budget)[1]
+        return _level_items(family, n, parents, None)[1]
     return _lattice_parents(family, n, parents)
 
 
@@ -281,7 +277,6 @@ def build_catalog(
     *,
     shards: int = 1,
     shard: int | None = None,
-    mem_budget: float | None = None,
     log: Callable[[str], None] | None = None,
 ) -> list[CatalogEntry]:
     """Enumerate, classify, and persist levels 1..n_max of one family.
@@ -315,7 +310,7 @@ def build_catalog(
             if final:
                 if not shard_files_exist(shard_dir, family, n, shard, shards):
                     items, _ = _level_items(
-                        family, n, parents, lambda index: index % shards == shard, mem_budget
+                        family, n, parents, lambda index: index % shards == shard
                     )
                     write_shard_files(shard_dir, family, n, shard, shards, items)
                     say(f"{family} n={n}: wrote shard {shard} of {shards} ({len(items)} classes)")
@@ -324,7 +319,7 @@ def build_catalog(
             if path.exists():
                 parents = _resume_parents(family, n, parents, read_catalog_csv(path))
             else:
-                parents = _level_parents(family, n, parents, mem_budget)
+                parents = _level_parents(family, n, parents)
             continue
 
         path = catalog_path(out_dir, family, n)
@@ -340,18 +335,18 @@ def build_catalog(
                 if shard_files_exist(shard_dir, family, n, index, shards):
                     continue
                 items, _ = _level_items(
-                    family, n, parents, lambda i, index=index: i % shards == index, mem_budget
+                    family, n, parents, lambda i, index=index: i % shards == index
                 )
                 write_shard_files(shard_dir, family, n, index, shards, items)
                 say(f"{family} n={n}: wrote shard {index} of {shards} ({len(items)} classes)")
-            items = list(
-                merge_sorted_items(
+            items = least_witness_items(
+                itertools.chain.from_iterable(
                     read_shard_files(shard_dir, family, n, index, shards)
                     for index in range(shards)
                 )
             )
         else:
-            items, parents = _level_items(family, n, parents, None, mem_budget)
+            items, parents = _level_items(family, n, parents, None)
 
         say(f"{family} n={n}: {len(items)} classes, classifying")
         entries = _classified_entries(family, n, items)

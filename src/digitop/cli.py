@@ -44,10 +44,6 @@ def _build_parser() -> _Parser:
     enum.add_argument(
         "--shard", type=int, default=None, metavar="I", help="emit only shard I (0-based)"
     )
-    enum.add_argument(
-        "--mem-budget", type=float, default=None, metavar="MB",
-        help="deduplication memory budget in megabytes (spills to disk beyond it)",
-    )
 
     cls = commands.add_parser("classify", help="classify images read from a file")
     cls.add_argument("--in", dest="in_path", required=True, metavar="FILE")
@@ -81,15 +77,12 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("--shards must be at least 1")
     if args.shard is not None and args.shards == 1:
         raise ValueError("--shard requires --shards greater than 1")
-    if args.mem_budget is not None and args.mem_budget <= 0:
-        raise ValueError("--mem-budget must be positive")
     build_catalog(
         args.out,
         args.family,
         args.n,
         shards=args.shards,
         shard=args.shard,
-        mem_budget=args.mem_budget,
         log=lambda message: print(message, file=sys.stderr),
     )
     return 0

@@ -19,18 +19,16 @@ reflections collapse in the final graph-isomorphism pass.  Internally a cell
 set lives in a 16x16 bit grid packed into one int, which makes growth,
 normalization, and deduplication a handful of integer operations.
 
-Deduplication goes through :class:`DedupStore`, which spills sorted runs to
-disk under a memory budget and merges them back deterministically, keeping
-the least witness cell set per canonical code.  Shard runs write their slice
-of a level as sorted text files (one graph6 code per line, plus a parallel
-witness-cells file for the lattice families) that merge by sorted union.
+Each level is deduplicated in an in-memory map keyed by canonical code,
+which keeps the least witness cell set per code.  Shard runs write their
+slice of a level as sorted text files (one graph6 code per line, plus a
+parallel witness-cells file for the lattice families); the merge folds the
+slices through the same least-witness rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -47,6 +45,7 @@ _COL_LAST = _COL0 << (_W - 1)
 _ONE_POINT_CODE = "@"  # graph6 of the single-point image
 
 Cell = tuple[int, int]
+Item = tuple[str, tuple[Cell, ...] | None]  # canonical code, least witness cells
 
 
 @dataclass(frozen=True)
@@ -170,105 +169,21 @@ def grow_masks(
 
 
 # ---------------------------------------------------------------------------
-# Deduplication store
+# Deduplication
 
 
-class DedupStore:
-    """Canonical-code set with least-witness values and disk spill.
+def least_witness_items(pairs: Iterable[Item]) -> list[Item]:
+    """One ``(code, witness)`` item per code, sorted by code.
 
-    ``add`` keeps the minimum witness (compared as sorted cell tuples) per
-    code.  When the approximate memory footprint exceeds the budget, the
-    in-memory map is written out as a sorted run; ``sorted_items`` merges the
-    runs and the residue back into one sorted, deduplicated stream.
+    Each code keeps its least witness (compared as sorted cell tuples), so
+    the result does not depend on the order of ``pairs``.
     """
-
-    _OVERHEAD = 120  # rough per-entry dict/str cost in bytes
-
-    def __init__(self, mem_budget_mb: float | None = None, tmp_dir: str | None = None):
-        self._items: dict[str, tuple[Cell, ...] | None] = {}
-        self._budget = None if mem_budget_mb is None else int(mem_budget_mb * 1024 * 1024)
-        self._tmp_dir = tmp_dir
-        self._approx = 0
-        self._runs: list[str] = []
-
-    def add(self, code: str, witness: tuple[Cell, ...] | None = None) -> None:
-        existing = self._items.get(code, _MISSING)
-        if existing is _MISSING:
-            self._items[code] = witness
-            self._approx += self._OVERHEAD + len(code) + (
-                0 if witness is None else 16 * len(witness)
-            )
-            if self._budget is not None and self._approx > self._budget:
-                self._spill()
-        elif witness is not None and (existing is None or witness < existing):
-            self._items[code] = witness
-
-    def _spill(self) -> None:
-        fd, path = tempfile.mkstemp(prefix="digitop-run-", suffix=".txt", dir=self._tmp_dir)
-        with os.fdopen(fd, "w") as handle:
-            for code, witness in sorted(self._items.items()):
-                handle.write(_serialize_item(code, witness))
-        self._runs.append(path)
-        self._items.clear()
-        self._approx = 0
-
-    def sorted_items(self) -> list[tuple[str, tuple[Cell, ...] | None]]:
-        if not self._runs:
-            return sorted(self._items.items())
-        if self._items:
-            self._spill()
-        streams = [_iter_run(path) for path in self._runs]
-        merged = list(merge_sorted_items(streams))
-        for path in self._runs:
-            os.unlink(path)
-        self._runs = []
-        return merged
-
-    def sorted_codes(self) -> list[str]:
-        return [code for code, _ in self.sorted_items()]
-
-
-_MISSING = object()
-
-
-def _serialize_item(code: str, witness: tuple[Cell, ...] | None) -> str:
-    if witness is None:
-        return code + "\n"
-    return code + "\t" + ";".join(f"{x},{y}" for x, y in witness) + "\n"
-
-
-def _parse_item(line: str) -> tuple[str, tuple[Cell, ...] | None]:
-    line = line.rstrip("\n")
-    if "\t" not in line:
-        return line, None
-    code, cells = line.split("\t", 1)
-    return code, tuple(
-        (int(x), int(y)) for x, y in (chunk.split(",") for chunk in cells.split(";"))
-    )
-
-
-def _iter_run(path: str) -> Iterator[tuple[str, tuple[Cell, ...] | None]]:
-    with open(path) as handle:
-        for line in handle:
-            yield _parse_item(line)
-
-
-def merge_sorted_items(
-    streams: Iterable[Iterator[tuple[str, tuple[Cell, ...] | None]]],
-) -> Iterator[tuple[str, tuple[Cell, ...] | None]]:
-    """Merge code-sorted item streams, combining duplicates by least witness."""
-    merged = heapq.merge(*streams, key=lambda item: item[0])
-    current_code: str | None = None
-    current_witness: tuple[Cell, ...] | None = None
-    for code, witness in merged:
-        if code != current_code:
-            if current_code is not None:
-                yield current_code, current_witness
-            current_code, current_witness = code, witness
-        elif witness is not None and (current_witness is None or witness < current_witness):
-            current_witness = witness
-    if current_code is not None:
-        yield current_code, current_witness
+    best: dict[str, tuple[Cell, ...] | None] = {}
+    for code, witness in pairs:
+        held = best.get(code)
+        if held is None or (witness is not None and witness < held):
+            best[code] = witness
+    return sorted(best.items())
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +231,11 @@ def _smaller_deletable_point(rows: list[int], parent_degrees: list[int], subset:
 
 def abstract_children(
     parent_codes: list[str],
-    store: DedupStore,
     selector: Callable[[int], bool] | None = None,
-) -> DedupStore:
+) -> list[str]:
     """Attach one new point to every nonempty neighbor subset of each parent.
+
+    Returns the sorted canonical codes of the distinct children.
 
     A child is canonically labeled only when no other non-cut point has a
     smaller invariant than the new point (degree, then the sorted degrees of
@@ -331,6 +247,7 @@ def abstract_children(
     test.  The invariant is isomorphism-invariant, so which parent labeling
     is used does not matter.
     """
+    codes: set[str] = set()
     for index, code in enumerate(parent_codes):
         if selector is not None and not selector(index):
             continue
@@ -351,18 +268,20 @@ def abstract_children(
             if _smaller_deletable_point(rows, degrees, subset):
                 continue
             canon = _kernels.canonical_rows(child_n, rows)
-            store.add(_encode_rows(child_n, canon))
-    return store
+            codes.add(_encode_rows(child_n, canon))
+    return sorted(codes)
 
 
-def mask_classes(kind: int, masks: Iterable[int], store: DedupStore) -> DedupStore:
-    """Canonicalize each cell-set mask and record the least witness per class."""
-    for mask in masks:
-        cells = _mask_cells(mask)
-        rows = _kernels.lattice_rows(kind, cells)
-        canon = _kernels.canonical_rows(len(cells), rows)
-        store.add(_encode_rows(len(cells), canon), tuple(cells))
-    return store
+def _mask_item(kind: int, mask: int) -> tuple[str, tuple[Cell, ...]]:
+    cells = _mask_cells(mask)
+    rows = _kernels.lattice_rows(kind, cells)
+    canon = _kernels.canonical_rows(len(cells), rows)
+    return _encode_rows(len(cells), canon), tuple(cells)
+
+
+def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
+    """Canonicalize each cell-set mask: sorted (code, least witness) per class."""
+    return least_witness_items(_mask_item(kind, mask) for mask in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +294,7 @@ def enumerate_abstract_connected(n: int) -> list[ImageClass]:
         raise ValueError("point count must be positive")
     codes = [_ONE_POINT_CODE]
     for _ in range(2, n + 1):
-        codes = abstract_children(codes, DedupStore()).sorted_codes()
+        codes = abstract_children(codes)
     return [
         ImageClass("abstract", n, CanonicalForm(code), graph6_decode(code))
         for code in codes
@@ -419,9 +338,8 @@ def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
         raise ValueError("adjacency kind must be 4 or 8")
     family = f"adj{kind}"
     masks = _fixed_cell_masks(kind, n)
-    items = mask_classes(kind, masks, DedupStore()).sorted_items()
     classes = []
-    for code, witness in items:
+    for code, witness in mask_classes(kind, masks):
         assert witness is not None
         classes.append(
             ImageClass(
@@ -450,7 +368,7 @@ def write_shard_files(
     n: int,
     index: int,
     count: int,
-    items: list[tuple[str, tuple[Cell, ...] | None]],
+    items: list[Item],
 ) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     stem = shard_stem(family, n, index, count)
@@ -468,7 +386,7 @@ def write_shard_files(
         with open(tmp, "w") as handle:
             for _, witness in items:
                 assert witness is not None
-                handle.write(";".join(f"{x},{y}" for x, y in witness) + "\n")
+                handle.write(CellSet(frozenset(witness)).as_string() + "\n")
         os.replace(tmp, cells_path)
         paths.append(cells_path)
     return paths
@@ -476,7 +394,7 @@ def write_shard_files(
 
 def read_shard_files(
     directory: Path, family: str, n: int, index: int, count: int
-) -> Iterator[tuple[str, tuple[Cell, ...] | None]]:
+) -> Iterator[Item]:
     stem = shard_stem(family, n, index, count)
     code_path = directory / f"{stem}.g6"
     cells_path = directory / f"{stem}.cells"
@@ -489,9 +407,7 @@ def read_shard_files(
     if len(witnesses) != len(codes):
         raise ValueError(f"shard files {stem} disagree on entry count")
     for code, cells in zip(codes, witnesses):
-        yield code, tuple(
-            (int(x), int(y)) for x, y in (chunk.split(",") for chunk in cells.split(";"))
-        )
+        yield code, tuple(CellSet.parse(cells).sorted_cells())
 
 
 def shard_files_exist(directory: Path, family: str, n: int, index: int, count: int) -> bool:

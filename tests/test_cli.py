@@ -25,6 +25,10 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 1
+    with pytest.raises(SystemExit) as err:  # the removed memory-budget option
+        main(["enumerate", "--family", "abstract", "--n", "3", "--out", "x",
+              "--mem-budget", "-1"])
+    assert err.value.code == 1
 
 
 def test_enumerate_report_conjectures_pipeline(tmp_path, capsys):
@@ -64,8 +68,6 @@ def test_enumerate_option_validation(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["enumerate", "--family", "abstract", "--n", "3", "--out", out,
                  "--shard", "0"]) == 1
-    assert main(["enumerate", "--family", "abstract", "--n", "3", "--out", out,
-                 "--mem-budget", "-1"]) == 1
     assert main(["enumerate", "--family", "abstract", "--n", "0", "--out", out]) == 1
 
 

@@ -7,7 +7,6 @@ classes are re-derived from every labeled connected adjacency matrix.
 """
 
 import itertools
-import random
 from pathlib import Path
 
 import pytest
@@ -16,14 +15,13 @@ from digitop import _kernels
 from digitop._kernels import canonical_rows, lattice_rows
 from digitop.enumerator import (
     CellSet,
-    DedupStore,
     abstract_children,
     enumerate_abstract_connected,
     enumerate_fixed_polyominoes,
     enumerate_fixed_polyplets,
     enumerate_lattice_images,
     grow_masks,
-    merge_sorted_items,
+    least_witness_items,
     read_shard_files,
     shard_files_exist,
     write_shard_files,
@@ -181,7 +179,7 @@ def test_abstract_children_label_only_deletion_candidates(monkeypatch):
         return label(n, rows)
 
     monkeypatch.setattr(_kernels, "canonical_rows", counted)
-    codes = abstract_children(parents, DedupStore()).sorted_codes()
+    codes = abstract_children(parents)
     assert labelings == 19652
     assert len(codes) == 11117
     assert codes == expected
@@ -241,45 +239,34 @@ def test_straight_and_bent_triominoes_coincide():
 
 
 # ---------------------------------------------------------------------------
-# deduplication store
+# deduplication
 
 
-def test_dedup_store_keeps_least_witness():
-    store = DedupStore()
-    store.add("Bw", ((0, 0), (1, 0), (2, 0)))
-    store.add("Bw", ((0, 0), (1, 0), (1, 1)))
-    store.add("A_", None)
-    store.add("A_", ((0, 0), (1, 0)))
-    assert store.sorted_items() == [
-        ("A_", ((0, 0), (1, 0))),
+def test_least_witness_items_in_any_order():
+    pairs = [
+        ("Bw", ((0, 0), (1, 0), (2, 0))),
         ("Bw", ((0, 0), (1, 0), (1, 1))),
+        ("A_", None),
+        ("A_", ((0, 0), (1, 0))),
     ]
+    for order in itertools.permutations(pairs):
+        assert least_witness_items(order) == [
+            ("A_", ((0, 0), (1, 0))),
+            ("Bw", ((0, 0), (1, 0), (1, 1))),
+        ]
 
 
-def test_dedup_store_spills_and_merges(tmp_path):
-    rng = random.Random(20250825)
-    items = []
-    for i in range(400):
-        code = f"code{i % 97:03d}"
-        witness = ((i % 7, i % 5), (i % 3 + 1, i % 11))
-        items.append((code, tuple(sorted(set(witness)))))
-    rng.shuffle(items)
-
-    plain = DedupStore()
-    spilling = DedupStore(mem_budget_mb=0.002, tmp_dir=str(tmp_path))
-    for code, witness in items:
-        plain.add(code, witness)
-        spilling.add(code, witness)
-    assert spilling._runs  # the tiny budget must actually force spills
-    assert spilling.sorted_items() == plain.sorted_items()
-    assert not list(tmp_path.glob("digitop-run-*")), "spill runs should be cleaned up"
-
-
-def test_merge_sorted_items_combines_streams():
-    left = iter([("a", ((1, 1),)), ("c", None)])
-    right = iter([("a", ((0, 1),)), ("b", ((2, 2),)), ("c", ((3, 3),))])
-    merged = list(merge_sorted_items([left, right]))
-    assert merged == [("a", ((0, 1),)), ("b", ((2, 2),)), ("c", ((3, 3),))]
+def test_least_witness_items_across_slices(tmp_path):
+    left = [("a", ((0, 1), (1, 0))), ("c", ((0, 0),))]
+    right = [("a", ((0, 0), (1, 1))), ("b", ((0, 0), (1, 0))), ("c", ((0, 0),))]
+    for index, items in enumerate((left, right)):
+        write_shard_files(tmp_path, "adj8", 2, index, 2, items)
+    merged = least_witness_items(
+        itertools.chain.from_iterable(
+            read_shard_files(tmp_path, "adj8", 2, index, 2) for index in range(2)
+        )
+    )
+    assert merged == [("a", ((0, 0), (1, 1))), ("b", ((0, 0), (1, 0))), ("c", ((0, 0),))]
 
 
 # ---------------------------------------------------------------------------
