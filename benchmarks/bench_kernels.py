@@ -40,10 +40,10 @@ def main() -> None:
     cell_lists = [_mask_cells(mask) for mask in _fixed_cell_masks(8, 7)]
 
     workloads = {
-        f"canonical_rows ({len(pairs)} graphs, n<=7)": lambda mod: [
+        f"canonical_rows ({len(pairs)} graphs, n=7)": lambda mod: [
             mod.canonical_rows(n, rows) for n, rows in pairs
         ],
-        f"classify_flags ({len(pairs)} graphs, n<=7)": lambda mod: [
+        f"classify_flags ({len(pairs)} graphs, n=7)": lambda mod: [
             mod.classify_flags(n, rows) for n, rows in pairs
         ],
         f"polyplet class pass ({len(cell_lists)} cell sets, n=7)": lambda mod: [

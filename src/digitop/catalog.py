@@ -4,8 +4,11 @@ A catalog is a directory of CSV files, one per (family, n), each row one
 isomorphism class with its classification flags, planarity, cycle flag, and
 (for the lattice families) a witness cell set.  Files are written atomically
 and sorted by canonical code, so independent runs, with any shard count,
-produce byte-identical output.  An existing file for some n is trusted and
-skipped, which makes interrupted long builds resumable per n.
+produce byte-identical output.  An existing file for some n is checked
+(every row names that family and n, codes strictly ascend) and kept, which
+makes interrupted long builds resumable per n.  A shard slice of a level is
+an ordinary catalog CSV under ``shards/``, classified by the run that writes
+it; the merge folds the slices by least witness without classifying again.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from typing import Callable, Iterable
 
 from . import _kernels
 from .enumerator import (
+    _ONE_POINT_CODE,
     FAMILIES,
     CellSet,
-    Item,
+    _fixed_cell_masks,
     abstract_children,
     grow_masks,
     least_witness_items,
     mask_classes,
-    read_shard_files,
-    shard_files_exist,
-    write_shard_files,
 )
 from .image import graph6_decode, is_planar
 
@@ -204,33 +205,28 @@ def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool
 # Catalog builds
 
 
-def _level_items(
-    family: str,
-    n: int,
-    parents: list,
-    selector: Callable[[int], bool] | None,
-) -> tuple[list[Item], list]:
-    """One enumeration level: sorted (code, witness) items plus next parents.
+_KINDS = {"adj4": 4, "adj8": 8}
 
-    Next parents are canonical codes for the abstract family and the full
-    fixed cell-set masks for the lattice families (class witnesses alone do
-    not span the growth frontier).
-    """
-    if family == "abstract":
-        if n == 1:
-            codes = ["@"] if selector is None or selector(0) else []
-        else:
-            codes = abstract_children(parents, selector)
-        return [(code, None) for code in codes], codes
-    kind = 4 if family == "adj4" else 8
+
+def _grow(
+    family: str, n: int, below: list, selector: Callable[[int], bool] | None = None
+) -> list:
+    """Level n's generators from level n - 1's: the abstract class codes, or
+    every fixed cell-set mask (class witnesses alone do not span the growth
+    frontier).  ``selector`` picks the parents of one shard slice."""
     if n == 1:
-        masks = [1] if selector is None or selector(0) else []
+        seed = [_ONE_POINT_CODE] if family == "abstract" else [1]
+        return seed if selector is None or selector(0) else []
+    if family == "abstract":
+        return abstract_children(below, selector)
+    return grow_masks(_KINDS[family], below, selector)
+
+
+def _classified_entries(family: str, n: int, generators: list) -> list[CatalogEntry]:
+    if family == "abstract":
+        items = [(code, None) for code in generators]
     else:
-        masks = grow_masks(kind, parents, selector)
-    return mask_classes(kind, masks), masks
-
-
-def _classified_entries(family: str, n: int, items: list[Item]) -> list[CatalogEntry]:
+        items = mask_classes(_KINDS[family], generators)
     flags = _classify_codes([code for code, _ in items])
     entries = []
     for (code, witness), (reducible, pointed, rigid, planar, cycle) in zip(items, flags):
@@ -250,24 +246,32 @@ def _classified_entries(family: str, n: int, items: list[Item]) -> list[CatalogE
     return entries
 
 
-def _lattice_parents(family: str, n: int, parents: list) -> list:
-    """The fixed cell-set masks of level n, grown from those of level n - 1."""
-    kind = 4 if family == "adj4" else 8
-    return [1] if n == 1 else grow_masks(kind, parents)
+def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
+    """A level or slice CSV, checked: every row is (family, n), and the
+    codes strictly ascend."""
+    entries = read_catalog_csv(path)
+    for row, entry in enumerate(entries, start=1):
+        if (entry.family, entry.n) != (family, n):
+            raise ValueError(
+                f"{path}: row {row} is {entry.family} n={entry.n}, expected {family} n={n}"
+            )
+        if row > 1 and entry.canonical <= entries[row - 2].canonical:
+            raise ValueError(f"{path}: codes do not strictly ascend at row {row}")
+    return entries
 
 
-def _resume_parents(family: str, n: int, parents: list, entries: list[CatalogEntry]) -> list:
-    if family == "abstract":
-        return [entry.canonical for entry in entries]
-    return _lattice_parents(family, n, parents)
-
-
-def _level_parents(family: str, n: int, parents: list) -> list:
-    """Next-level parents without classifying; lattice levels skip the
-    canonical pass since growth needs only the raw masks."""
-    if family == "abstract":
-        return _level_items(family, n, parents, None)[1]
-    return _lattice_parents(family, n, parents)
+def _merged_entries(paths: list[Path], family: str, n: int) -> list[CatalogEntry]:
+    """The classified slices folded into one level: least witness per code."""
+    slices = itertools.chain.from_iterable(_read_level(path, family, n) for path in paths)
+    items = least_witness_items(
+        (
+            entry.canonical,
+            None if entry.witness is None else tuple(entry.witness.sorted_cells()),
+            entry,
+        )
+        for entry in slices
+    )
+    return [entry for _, _, entry in items]
 
 
 def build_catalog(
@@ -281,11 +285,13 @@ def build_catalog(
 ) -> list[CatalogEntry]:
     """Enumerate, classify, and persist levels 1..n_max of one family.
 
-    Plain mode (shard = None, shards = 1) writes one CSV per n, skipping
-    levels whose file already exists.  A shard run (shard = i) writes only
-    its slice of the final level as shard files and returns no entries.  A
-    merge run (shards = k, shard = None) builds any missing slices itself,
-    merges them, and writes the same CSVs a plain run would.
+    Plain mode (shard = None, shards = 1) writes one CSV per n, keeping
+    levels whose file already exists.  A shard run (shard = i) classifies
+    only its slice of the final level, writes it as a catalog CSV under
+    ``shards/``, and returns no entries; lower levels are grown in memory
+    where their file is missing.  A merge run (shards = k, shard = None)
+    builds any missing slices itself and folds them into the same CSVs a
+    plain run would write, without classifying again.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -296,62 +302,47 @@ def build_catalog(
     if shard is not None and not 0 <= shard < shards:
         raise ValueError(f"shard index {shard} outside 0..{shards - 1}")
     out_dir = Path(out_dir)
-    shard_dir = out_dir / "shards"
     say = log if log is not None else (lambda message: None)
 
     collected: list[CatalogEntry] = []
-    parents: list = []
+    below: list | None = []  # level n - 1's generators; None after a resumed lattice level
     for n in range(1, n_max + 1):
-        final = n == n_max
-
-        if shard is not None:
-            # Slice run: enumerate lower levels in memory only, then emit
-            # this shard's part of the final level.
-            if final:
-                if not shard_files_exist(shard_dir, family, n, shard, shards):
-                    items, _ = _level_items(
-                        family, n, parents, lambda index: index % shards == shard
-                    )
-                    write_shard_files(shard_dir, family, n, shard, shards, items)
-                    say(f"{family} n={n}: wrote shard {shard} of {shards} ({len(items)} classes)")
-                return []
-            path = catalog_path(out_dir, family, n)
-            if path.exists():
-                parents = _resume_parents(family, n, parents, read_catalog_csv(path))
-            else:
-                parents = _level_parents(family, n, parents)
-            continue
-
         path = catalog_path(out_dir, family, n)
-        if path.exists():
-            entries = read_catalog_csv(path)
-            say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
-            collected.extend(entries)
-            parents = _resume_parents(family, n, parents, entries)
+        sliced = n == n_max and (shards > 1 or shard is not None)
+        if path.exists() and (shard is None or n < n_max):
+            entries = _read_level(path, family, n)
+            if shard is None:
+                say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
+                collected.extend(entries)
+            below = [entry.canonical for entry in entries] if family == "abstract" else None
             continue
+        if below is None:
+            below = _fixed_cell_masks(_KINDS[family], n - 1)
 
-        if final and shards > 1:
-            for index in range(shards):
-                if shard_files_exist(shard_dir, family, n, index, shards):
-                    continue
-                items, _ = _level_items(
-                    family, n, parents, lambda i, index=index: i % shards == index
-                )
-                write_shard_files(shard_dir, family, n, index, shards, items)
-                say(f"{family} n={n}: wrote shard {index} of {shards} ({len(items)} classes)")
-            items = least_witness_items(
-                itertools.chain.from_iterable(
-                    read_shard_files(shard_dir, family, n, index, shards)
-                    for index in range(shards)
-                )
-            )
+        if not sliced:
+            below = _grow(family, n, below)
+            if shard is not None:
+                continue
+            say(f"{family} n={n}: classifying")
+            entries = _classified_entries(family, n, below)
         else:
-            items, parents = _level_items(family, n, parents, None)
+            slice_paths = [
+                out_dir / "shards" / f"{family}_n{n:02d}.shard{index}of{shards}.csv"
+                for index in range(shards)
+            ]
+            for index in range(shards) if shard is None else (shard,):
+                if slice_paths[index].exists():
+                    continue
+                generators = _grow(family, n, below, lambda i, index=index: i % shards == index)
+                part = _classified_entries(family, n, generators)
+                write_catalog_csv(slice_paths[index], part)
+                say(f"{family} n={n}: wrote shard {index} of {shards} ({len(part)} classes)")
+            if shard is not None:
+                return []
+            entries = _merged_entries(slice_paths, family, n)
 
-        say(f"{family} n={n}: {len(items)} classes, classifying")
-        entries = _classified_entries(family, n, items)
         write_catalog_csv(path, entries)
-        say(f"{family} n={n}: wrote {path}")
+        say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
         collected.extend(entries)
     return collected
 

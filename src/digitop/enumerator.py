@@ -20,21 +20,19 @@ set lives in a 16x16 bit grid packed into one int, which makes growth,
 normalization, and deduplication a handful of integer operations.
 
 Each level is deduplicated in an in-memory map keyed by canonical code,
-which keeps the least witness cell set per code.  Shard runs write their
-slice of a level as sorted text files (one graph6 code per line, plus a
-parallel witness-cells file for the lattice families); the merge folds the
-slices through the same least-witness rule.
+which keeps the least witness cell set per code.  The shard merge in
+:mod:`digitop.catalog` folds classified slices through the same
+least-witness rule.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import _kernels
-from .image import CanonicalForm, DigitalImage, _bits, _encode_rows, graph6_decode
+from ._pure import _bits
+from .image import CanonicalForm, DigitalImage, _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
 
@@ -172,18 +170,19 @@ def grow_masks(
 # Deduplication
 
 
-def least_witness_items(pairs: Iterable[Item]) -> list[Item]:
-    """One ``(code, witness)`` item per code, sorted by code.
+def least_witness_items(items: Iterable[tuple]) -> list[tuple]:
+    """One item per code, sorted by code.
 
-    Each code keeps its least witness (compared as sorted cell tuples), so
-    the result does not depend on the order of ``pairs``.
+    An item starts ``(code, witness, ...)``; any further fields ride along.
+    Each code keeps the item with its least witness (compared as sorted cell
+    tuples), so the result does not depend on the order of ``items``.
     """
-    best: dict[str, tuple[Cell, ...] | None] = {}
-    for code, witness in pairs:
-        held = best.get(code)
-        if held is None or (witness is not None and witness < held):
-            best[code] = witness
-    return sorted(best.items())
+    best: dict[str, tuple] = {}
+    for item in items:
+        held = best.get(item[0])
+        if held is None or (item[1] is not None and (held[1] is None or item[1] < held[1])):
+            best[item[0]] = item
+    return [best[code] for code in sorted(best)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,67 +350,3 @@ def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
             )
         )
     return classes
-
-
-# ---------------------------------------------------------------------------
-# Shard slice files (one canonical code per line; parallel .cells file with
-# one witness per line for the lattice families)
-
-
-def shard_stem(family: str, n: int, index: int, count: int) -> str:
-    return f"{family}_n{n:02d}.shard{index}of{count}"
-
-
-def write_shard_files(
-    directory: Path,
-    family: str,
-    n: int,
-    index: int,
-    count: int,
-    items: list[Item],
-) -> list[Path]:
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = shard_stem(family, n, index, count)
-    code_path = directory / f"{stem}.g6"
-    paths = [code_path]
-    with_witness = family != "abstract"
-    tmp = code_path.with_name(code_path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        for code, _ in items:
-            handle.write(code + "\n")
-    os.replace(tmp, code_path)
-    if with_witness:
-        cells_path = directory / f"{stem}.cells"
-        tmp = cells_path.with_name(cells_path.name + ".tmp")
-        with open(tmp, "w") as handle:
-            for _, witness in items:
-                assert witness is not None
-                handle.write(CellSet(frozenset(witness)).as_string() + "\n")
-        os.replace(tmp, cells_path)
-        paths.append(cells_path)
-    return paths
-
-
-def read_shard_files(
-    directory: Path, family: str, n: int, index: int, count: int
-) -> Iterator[Item]:
-    stem = shard_stem(family, n, index, count)
-    code_path = directory / f"{stem}.g6"
-    cells_path = directory / f"{stem}.cells"
-    codes = code_path.read_text().splitlines()
-    if family == "abstract":
-        for code in codes:
-            yield code, None
-        return
-    witnesses = cells_path.read_text().splitlines()
-    if len(witnesses) != len(codes):
-        raise ValueError(f"shard files {stem} disagree on entry count")
-    for code, cells in zip(codes, witnesses):
-        yield code, tuple(CellSet.parse(cells).sorted_cells())
-
-
-def shard_files_exist(directory: Path, family: str, n: int, index: int, count: int) -> bool:
-    stem = shard_stem(family, n, index, count)
-    if not (directory / f"{stem}.g6").exists():
-        return False
-    return family == "abstract" or (directory / f"{stem}.cells").exists()

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 import networkx as nx
 
 from . import _kernels
+from ._pure import _bits
 
 GRAPH6_MAX_N = 62
 _G6_HEADER = ">>graph6<<"
@@ -29,13 +30,6 @@ class Graph6Error(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Catalog CSVs, deterministic builds, report tables, and the scanner."""
 
+import dataclasses
 import os
 
 import pytest
 
+from digitop import _kernels, catalog, enumerator
 from digitop.catalog import (
     CSV_HEADER,
     CatalogEntry,
@@ -183,6 +185,55 @@ def test_resume_skips_existing_levels(tmp_path):
     assert catalog_path(tmp_path, "abstract", 4).read_bytes() == reference
 
 
+def test_resume_of_complete_lattice_catalog_grows_nothing(tmp_path, monkeypatch):
+    for family, n_max in (("adj4", 6), ("adj8", 5)):
+        build_catalog(tmp_path, family, n_max)
+    top = catalog_path(tmp_path, "adj8", 5)
+    reference = top.read_bytes()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a resume of a complete catalog grew or labeled a level")
+
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (catalog, "grow_masks"),
+            (catalog, "abstract_children"),
+            (catalog, "mask_classes"),
+            (enumerator, "grow_masks"),
+            (_kernels, "canonical_rows"),
+        ):
+            patch.setattr(module, name, forbidden)
+        assert len(build_catalog(tmp_path, "adj4", 6)) == 20
+        assert len(build_catalog(tmp_path, "adj8", 5)) == 25
+
+    os.unlink(top)
+    build_catalog(tmp_path, "adj8", 5)
+    assert top.read_bytes() == reference
+
+
+def test_resume_and_merge_check_their_files(tmp_path):
+    build_catalog(tmp_path, "abstract", 4)
+    path = catalog_path(tmp_path, "abstract", 4)
+    good = read_catalog_csv(path)
+    swapped = [good[1], good[0]] + good[2:]
+    write_catalog_csv(path, swapped)
+    with pytest.raises(ValueError, match="abstract_n04.csv"):
+        build_catalog(tmp_path, "abstract", 4)
+    relabeled = good[:2] + [dataclasses.replace(good[2], n=3)] + good[3:]
+    write_catalog_csv(path, relabeled)
+    with pytest.raises(ValueError, match="abstract_n04.csv"):
+        build_catalog(tmp_path, "abstract", 4)
+
+    os.unlink(path)
+    build_catalog(tmp_path, "abstract", 4, shards=2)
+    os.unlink(path)
+    slice_path = tmp_path / "shards" / "abstract_n04.shard1of2.csv"
+    part = read_catalog_csv(slice_path)
+    write_catalog_csv(slice_path, [dataclasses.replace(part[0], n=3)])
+    with pytest.raises(ValueError, match="abstract_n04.shard1of2.csv"):
+        build_catalog(tmp_path, "abstract", 4, shards=2)
+
+
 def test_sharded_build_matches_plain(tmp_path):
     plain_dir = tmp_path / "plain"
     shard_dir = tmp_path / "sharded"
@@ -191,9 +242,7 @@ def test_sharded_build_matches_plain(tmp_path):
     for index in range(3):
         result = build_catalog(shard_dir, "adj8", 5, shards=3, shard=index)
         assert result == []
-        stem = f"adj8_n05.shard{index}of3"
-        assert (shard_dir / "shards" / f"{stem}.g6").exists()
-        assert (shard_dir / "shards" / f"{stem}.cells").exists()
+        assert (shard_dir / "shards" / f"adj8_n05.shard{index}of3.csv").exists()
     assert not catalog_path(shard_dir, "adj8", 5).exists()
 
     build_catalog(shard_dir, "adj8", 5, shards=3)

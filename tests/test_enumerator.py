@@ -7,12 +7,18 @@ classes are re-derived from every labeled connected adjacency matrix.
 """
 
 import itertools
-from pathlib import Path
 
 import pytest
 
-from digitop import _kernels
+from digitop import _kernels, catalog
 from digitop._kernels import canonical_rows, lattice_rows
+from digitop.catalog import (
+    CatalogEntry,
+    build_catalog,
+    catalog_path,
+    read_catalog_csv,
+    write_catalog_csv,
+)
 from digitop.enumerator import (
     CellSet,
     abstract_children,
@@ -22,9 +28,6 @@ from digitop.enumerator import (
     enumerate_lattice_images,
     grow_masks,
     least_witness_items,
-    read_shard_files,
-    shard_files_exist,
-    write_shard_files,
 )
 from digitop.image import (
     DigitalImage,
@@ -256,46 +259,31 @@ def test_least_witness_items_in_any_order():
         ]
 
 
-def test_least_witness_items_across_slices(tmp_path):
-    left = [("a", ((0, 1), (1, 0))), ("c", ((0, 0),))]
-    right = [("a", ((0, 0), (1, 1))), ("b", ((0, 0), (1, 0))), ("c", ((0, 0),))]
-    for index, items in enumerate((left, right)):
-        write_shard_files(tmp_path, "adj8", 2, index, 2, items)
-    merged = least_witness_items(
-        itertools.chain.from_iterable(
-            read_shard_files(tmp_path, "adj8", 2, index, 2) for index in range(2)
+def test_least_witness_items_across_slices(tmp_path, monkeypatch):
+    # Two classified slice CSVs are folded by the merge run without being
+    # classified again; the least witness of a code may sit in either slice.
+    build_catalog(tmp_path, "adj8", 1)
+
+    def entry(code, cells):
+        return CatalogEntry(
+            family="adj8", n=2, canonical=code, reducible=True, pointed_reducible=True,
+            rigid=False, planar=True, is_cycle=False, witness=CellSet(frozenset(cells)),
         )
-    )
-    assert merged == [("a", ((0, 0), (1, 1))), ("b", ((0, 0), (1, 0))), ("c", ((0, 0),))]
 
-
-# ---------------------------------------------------------------------------
-# shard slice files
-
-
-def test_shard_files_round_trip(tmp_path):
-    directory = Path(tmp_path) / "shards"
-    items = [
-        ("A_", ((0, 0), (1, 0))),
-        ("Bw", ((0, 0), (1, 0), (1, 1))),
+    left = [entry("a", ((0, 1), (1, 0))), entry("c", ((0, 0), (1, 0)))]
+    right = [
+        entry("a", ((0, 0), (1, 1))),
+        entry("b", ((0, 0), (0, 1))),
+        entry("c", ((0, 0), (1, 0))),
     ]
-    assert not shard_files_exist(directory, "adj4", 3, 1, 2)
-    paths = write_shard_files(directory, "adj4", 3, 1, 2, items)
-    assert [p.name for p in paths] == ["adj4_n03.shard1of2.g6", "adj4_n03.shard1of2.cells"]
-    assert shard_files_exist(directory, "adj4", 3, 1, 2)
-    assert list(read_shard_files(directory, "adj4", 3, 1, 2)) == items
+    for index, entries in enumerate((left, right)):
+        write_catalog_csv(tmp_path / "shards" / f"adj8_n02.shard{index}of2.csv", entries)
 
-    bare = [("Bw", None)]
-    paths = write_shard_files(directory, "abstract", 3, 0, 4, bare)
-    assert [p.name for p in paths] == ["abstract_n03.shard0of4.g6"]
-    assert shard_files_exist(directory, "abstract", 3, 0, 4)
-    assert list(read_shard_files(directory, "abstract", 3, 0, 4)) == bare
+    def no_classification(codes):
+        raise AssertionError("the merge classified again")
 
-
-def test_shard_files_detect_length_mismatch(tmp_path):
-    directory = Path(tmp_path)
-    write_shard_files(directory, "adj4", 2, 0, 1, [("A_", ((0, 0), (1, 0)))])
-    cells = directory / "adj4_n02.shard0of1.cells"
-    cells.write_text("")
-    with pytest.raises(ValueError):
-        list(read_shard_files(directory, "adj4", 2, 0, 1))
+    monkeypatch.setattr(catalog, "_classify_codes", no_classification)
+    merged = build_catalog(tmp_path, "adj8", 2, shards=2)
+    expected = [right[0], right[1], left[1]]
+    assert merged[1:] == expected
+    assert read_catalog_csv(catalog_path(tmp_path, "adj8", 2)) == expected
