@@ -13,7 +13,7 @@ import argparse
 import time
 
 from digitop import _pure
-from digitop.enumerator import _fixed_cell_masks, _mask_cells, enumerate_abstract_connected
+from digitop.enumerator import _mask_cells, enumerate_abstract_connected, grow_masks
 
 try:
     from digitop import _core
@@ -37,7 +37,7 @@ def main() -> None:
 
     graphs = [cls.representative for cls in enumerate_abstract_connected(7)]
     pairs = [(g.n, list(g.rows)) for g in graphs]
-    cell_lists = [_mask_cells(mask) for mask in _fixed_cell_masks(8, 7)]
+    cell_lists = [_mask_cells(mask) for mask in grow_masks(8, 7)]
 
     workloads = {
         f"canonical_rows ({len(pairs)} graphs, n=7)": lambda mod: [

@@ -23,6 +23,14 @@ __all__ = [
 ]
 
 
+_MAXN = 62  # the compiled twin's limit, kept here so both backends agree
+
+
+def _check_points(n: int) -> None:
+    if not 1 <= n <= _MAXN:
+        raise ValueError(f"point count {n} outside 1..{_MAXN}")
+
+
 def _bits(mask: int):
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -152,6 +160,7 @@ def canonical_rows(n: int, rows: list[int]) -> tuple[int, ...]:
     are isomorphic.  Individualization-refinement search over an equitable
     partition, taking the minimum adjacency bit string over all leaves.
     """
+    _check_points(n)
     if n == 1:
         return (0,)
     order = _canonical_order(n, rows)
@@ -214,6 +223,7 @@ def classify_flags(n: int, rows: list[int]) -> tuple[bool, bool, bool]:
     non-equal pair.  Stops early once all three verdicts are determined; the
     negative verdicts require exhausting the stream.
     """
+    _check_points(n)
     order, candidates, earlier = dfs_setup(n, rows)
     value = [0] * n
     hits = [0] * n
@@ -269,6 +279,7 @@ def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
     Image sets are compared as ascending label tuples.  Returns None when
     every continuous one-step map is surjective (the image is irreducible).
     """
+    _check_points(n)
     order, candidates, earlier = dfs_setup(n, rows)
     value = [0] * n
     hits = [0] * n
@@ -314,6 +325,8 @@ def lattice_rows(kind: int, cells: list[tuple[int, int]]) -> list[int]:
     differ by at most 1.  Cell order defines the labels.
     """
     n = len(cells)
+    if n > _MAXN:
+        raise ValueError(f"cell count {n} outside 1..{_MAXN}")
     rows = [0] * n
     for i in range(n):
         xi, yi = cells[i]

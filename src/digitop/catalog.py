@@ -3,11 +3,11 @@
 A catalog is a directory of CSV files, one per (family, n), each row one
 isomorphism class with its classification flags, planarity, cycle flag, and
 (for the lattice families) a witness cell set.  Files are written atomically
-and sorted by canonical code, so independent runs, with any shard count,
-produce byte-identical output.  An existing file for some n is checked
-(every row names that family and n, codes strictly ascend) and kept, which
-makes interrupted long builds resumable per n.  A shard slice of a level is
-an ordinary catalog CSV under ``shards/``, classified by the run that writes
+and sorted by canonical code, so runs with any shard count produce
+byte-identical output.  An existing file is checked (rows name its family
+and n, codes strictly ascend) and kept, so builds resume per n.  Abstract
+levels grow from the level below; lattice levels stand alone.  A shard
+slice is a catalog CSV under ``shards/``, classified by the run that writes
 it; the merge folds the slices by least witness without classifying again.
 """
 
@@ -26,8 +26,8 @@ from . import _kernels
 from .enumerator import (
     _ONE_POINT_CODE,
     FAMILIES,
+    MAX_CELLS,
     CellSet,
-    _fixed_cell_masks,
     abstract_children,
     grow_masks,
     least_witness_items,
@@ -209,17 +209,16 @@ _KINDS = {"adj4": 4, "adj8": 8}
 
 
 def _grow(
-    family: str, n: int, below: list, selector: Callable[[int], bool] | None = None
+    family: str, n: int, below: list[str], selector: Callable[[int], bool] | None = None
 ) -> list:
-    """Level n's generators from level n - 1's: the abstract class codes, or
-    every fixed cell-set mask (class witnesses alone do not span the growth
-    frontier).  ``selector`` picks the parents of one shard slice."""
+    """Level n's generators: abstract class codes grown from level n - 1's
+    codes ``below``, or every fixed n-cell set as a mask.  ``selector`` picks
+    one shard slice (abstract parents, or cell sets by search order)."""
+    if family != "abstract":
+        return grow_masks(_KINDS[family], n, selector)
     if n == 1:
-        seed = [_ONE_POINT_CODE] if family == "abstract" else [1]
-        return seed if selector is None or selector(0) else []
-    if family == "abstract":
-        return abstract_children(below, selector)
-    return grow_masks(_KINDS[family], below, selector)
+        return [_ONE_POINT_CODE] if selector is None or selector(0) else []
+    return abstract_children(below, selector)
 
 
 def _classified_entries(family: str, n: int, generators: list) -> list[CatalogEntry]:
@@ -288,15 +287,18 @@ def build_catalog(
     Plain mode (shard = None, shards = 1) writes one CSV per n, keeping
     levels whose file already exists.  A shard run (shard = i) classifies
     only its slice of the final level, writes it as a catalog CSV under
-    ``shards/``, and returns no entries; lower levels are grown in memory
-    where their file is missing.  A merge run (shards = k, shard = None)
-    builds any missing slices itself and folds them into the same CSVs a
-    plain run would write, without classifying again.
+    ``shards/``, and returns no entries; missing abstract levels below it
+    are grown in memory, and lattice levels need no lower level.  A merge
+    run (shards = k, shard = None) builds any missing slices itself and
+    folds them into the same CSVs a plain run would write, without
+    classifying again.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    if family != "abstract" and n_max > MAX_CELLS:
+        raise ValueError(f"cell count {n_max} outside 1..{MAX_CELLS}")
     if shards < 1:
         raise ValueError("shard count must be positive")
     if shard is not None and not 0 <= shard < shards:
@@ -305,8 +307,9 @@ def build_catalog(
     say = log if log is not None else (lambda message: None)
 
     collected: list[CatalogEntry] = []
-    below: list | None = []  # level n - 1's generators; None after a resumed lattice level
-    for n in range(1, n_max + 1):
+    below: list[str] = []  # level n - 1's class codes, which abstract levels grow from
+    first = 1 if family == "abstract" or shard is None else n_max
+    for n in range(first, n_max + 1):
         path = catalog_path(out_dir, family, n)
         sliced = n == n_max and (shards > 1 or shard is not None)
         if path.exists() and (shard is None or n < n_max):
@@ -314,17 +317,15 @@ def build_catalog(
             if shard is None:
                 say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
                 collected.extend(entries)
-            below = [entry.canonical for entry in entries] if family == "abstract" else None
+            below = [entry.canonical for entry in entries]
             continue
-        if below is None:
-            below = _fixed_cell_masks(_KINDS[family], n - 1)
 
         if not sliced:
-            below = _grow(family, n, below)
             if shard is not None:
+                below = _grow(family, n, below)
                 continue
             say(f"{family} n={n}: classifying")
-            entries = _classified_entries(family, n, below)
+            entries = _classified_entries(family, n, _grow(family, n, below))
         else:
             slice_paths = [
                 out_dir / "shards" / f"{family}_n{n:02d}.shard{index}of{shards}.csv"
@@ -344,6 +345,7 @@ def build_catalog(
         write_catalog_csv(path, entries)
         say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
         collected.extend(entries)
+        below = [entry.canonical for entry in entries]
     return collected
 
 

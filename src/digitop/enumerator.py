@@ -14,15 +14,13 @@ Three families:
 * ``adj4`` -- images in Z^2 with 4-adjacency, via fixed polyominoes;
 * ``adj8`` -- images in Z^2 with 8-adjacency, via fixed polyplets.
 
-Cell sets are kept up to translation only (fixed counting); rotations and
-reflections collapse in the final graph-isomorphism pass.  Internally a cell
-set lives in a 16x16 bit grid packed into one int, which makes growth,
-normalization, and deduplication a handful of integer operations.
-
-Each level is deduplicated in an in-memory map keyed by canonical code,
-which keeps the least witness cell set per code.  The shard merge in
-:mod:`digitop.catalog` folds classified slices through the same
-least-witness rule.
+The fixed (translation-normalized) cell sets of one size come straight from
+Redelmeier's enumeration (*Counting polyominoes: yet another attack*, 1981),
+each exactly once, packed into one int with 16 bits per row; a lattice level
+never reads a lower one.  Rotations and reflections collapse when the sets
+are canonically labeled as images: each level keeps the least witness cell
+set per canonical code, and the shard merge in :mod:`digitop.catalog` folds
+classified slices through the same least-witness rule.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ FAMILIES = ("abstract", "adj4", "adj8")
 
 _W = 16  # bit-grid stride; supports cell sets up to 14 cells
 MAX_CELLS = 14
-_COL0 = sum(1 << (_W * y) for y in range(_W))
-_COL_LAST = _COL0 << (_W - 1)
 _ONE_POINT_CODE = "@"  # graph6 of the single-point image
 
 Cell = tuple[int, int]
@@ -99,29 +95,6 @@ class ImageClass:
 # Cell-set bit masks
 
 
-def _normalize_mask(mask: int) -> int:
-    low = (mask & -mask).bit_length() - 1
-    min_y = low >> 4
-    folded = mask
-    folded |= folded >> 128
-    folded |= folded >> 64
-    folded |= folded >> 32
-    folded |= folded >> 16
-    columns = folded & 0xFFFF
-    min_x = (columns & -columns).bit_length() - 1
-    return mask >> (min_y * _W + min_x)
-
-
-def _mask_neighbors(kind: int, mask: int) -> int:
-    left_ok = mask & ~_COL0
-    right_ok = mask & ~_COL_LAST
-    spread = (right_ok << 1) | (left_ok >> 1) | (mask << _W) | (mask >> _W)
-    if kind == 8:
-        spread |= (right_ok << (_W + 1)) | (left_ok << (_W - 1))
-        spread |= (right_ok >> (_W - 1)) | (left_ok >> (_W + 1))
-    return spread
-
-
 def _mask_cells(mask: int) -> list[Cell]:
     cells = []
     while mask:
@@ -133,37 +106,48 @@ def _mask_cells(mask: int) -> list[Cell]:
     return cells
 
 
-def _cells_mask(cells: Iterable[Cell]) -> int:
-    mask = 0
-    for x, y in cells:
-        if not (0 <= x < _W and 0 <= y < _W):
-            raise ValueError(f"cell {x, y} is outside the {_W}x{_W} working grid")
-        mask |= 1 << (y * _W + x)
-    return mask
+def grow_masks(kind: int, n: int, selector: Callable[[int], bool] | None = None) -> list[int]:
+    """Every fixed n-cell set exactly once, as a translation-normalized mask.
 
-
-def grow_masks(
-    kind: int,
-    parent_masks: list[int],
-    selector: Callable[[int], bool] | None = None,
-) -> list[int]:
-    """All one-cell extensions of the parents, normalized and deduplicated.
-
-    ``selector`` filters parents by index (for sharding); the parent list
-    must be sorted so indices are reproducible.  Output is sorted.
+    Redelmeier's enumeration: each set is grown from its least (x, y) cell
+    by a depth-first search that takes cells from an untried set and never
+    takes back a cell once a branch has passed it over, so no set is seen
+    twice and no deduplication is needed.  The root sits in column 0, so a
+    set is normalized by shifting out its empty low rows.  ``selector``
+    picks outputs by their index in the search order (for sharding).
     """
-    children: set[int] = set()
-    margin = _W + 1  # shift parents off the axes so neighbors stay in-grid
-    for index, parent in enumerate(parent_masks):
-        if selector is not None and not selector(index):
-            continue
-        shifted = parent << margin
-        frontier = _mask_neighbors(kind, shifted) & ~shifted
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            children.add(_normalize_mask(shifted | low))
-    return sorted(children)
+    if not 1 <= n <= MAX_CELLS:
+        raise ValueError(f"cell count {n} outside 1..{MAX_CELLS}")
+    # Per grid bit, the neighbors that may join a set rooted at (0, n - 1):
+    # cells after the root in (x, y) order, in the n columns and 2n - 1 rows
+    # that n cells can reach.
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    if kind == 8:
+        steps += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    reachable = {(x, y) for x in range(n) for y in range(2 * n - 1) if (x, y) > (0, n - 1)}
+    neighbors = []
+    for bit in range((2 * n - 1) * _W):
+        x, y = bit & 15, bit >> 4
+        near = [(x + dx, y + dy) for dx, dy in steps]
+        neighbors.append(sum(1 << (ny * _W + nx) for nx, ny in near if (nx, ny) in reachable))
+    out: list[int] = []
+
+    def extend(cells: int, untried: int, seen: int, size: int) -> None:
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            if size + 1 == n:
+                grown = cells | low
+                out.append(grown >> ((grown & -grown).bit_length() - 1 & ~15))
+            else:
+                fresh = neighbors[low.bit_length() - 1] & ~seen
+                extend(cells | low, untried | fresh, seen | fresh, size + 1)
+
+    root = 1 << (n - 1) * _W
+    extend(0, root, root, 0)
+    if selector is None:
+        return out
+    return [mask for index, mask in enumerate(out) if selector(index)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +284,18 @@ def enumerate_abstract_connected(n: int) -> list[ImageClass]:
     ]
 
 
-def _fixed_cell_masks(kind: int, n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("cell count must be positive")
-    if n > MAX_CELLS:
-        raise ValueError(f"cell count {n} exceeds the supported maximum ({MAX_CELLS})")
-    masks = [1]
-    for _ in range(2, n + 1):
-        masks = grow_masks(kind, masks)
-    return masks
-
-
 def _cell_sets(masks: list[int]) -> list[CellSet]:
-    sets = [CellSet(frozenset(_mask_cells(mask))) for mask in masks]
-    sets.sort(key=lambda cs: cs.sorted_cells())
-    return sets
+    return [CellSet(frozenset(cells)) for cells in sorted(map(_mask_cells, masks))]
 
 
 def enumerate_fixed_polyominoes(n: int) -> list[CellSet]:
     """All edge-connected n-cell sets up to translation (fixed polyominoes)."""
-    return _cell_sets(_fixed_cell_masks(4, n))
+    return _cell_sets(grow_masks(4, n))
 
 
 def enumerate_fixed_polyplets(n: int) -> list[CellSet]:
     """All 8-connected n-cell sets up to translation (fixed polyplets)."""
-    return _cell_sets(_fixed_cell_masks(8, n))
+    return _cell_sets(grow_masks(8, n))
 
 
 def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
@@ -336,9 +307,8 @@ def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
     if kind not in (4, 8):
         raise ValueError("adjacency kind must be 4 or 8")
     family = f"adj{kind}"
-    masks = _fixed_cell_masks(kind, n)
     classes = []
-    for code, witness in mask_classes(kind, masks):
+    for code, witness in mask_classes(kind, grow_masks(kind, n)):
         assert witness is not None
         classes.append(
             ImageClass(

@@ -7,7 +7,11 @@ graph generation by iterating all edge subsets.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import shutil
+import subprocess
+import sysconfig
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -122,3 +126,32 @@ def subprocess_env(**overrides: str) -> dict[str, str]:
     package_root = str(Path(digitop.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def core_twin(tmp_path_factory):
+    """The committed ``_core.c`` compiled with the system C compiler into a
+    temporary directory and loaded from there, without installing it.
+
+    Skips only when there is no C compiler or no ``Python.h``; a failed
+    compile is an error.
+    """
+    source = Path(digitop.__file__).resolve().parent / "_core.c"
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    include = sysconfig.get_paths()["include"]
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    if not (Path(include) / "Python.h").is_file():
+        pytest.skip(f"no Python.h in {include}")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    target = tmp_path_factory.mktemp("twin") / f"_core{suffix}"
+    subprocess.run(
+        [compiler, "-O2", "-fwrapv", "-DNDEBUG", "-shared", "-fPIC", "-I", include,
+         str(source), "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("digitop._core", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

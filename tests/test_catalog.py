@@ -126,6 +126,10 @@ def test_build_catalog_argument_validation(tmp_path):
         build_catalog(tmp_path, "abstract", 3, shards=0)
     with pytest.raises(ValueError):
         build_catalog(tmp_path, "abstract", 3, shards=2, shard=2)
+    for family in ("adj4", "adj8"):
+        with pytest.raises(ValueError, match="cell count 15 outside 1..14"):
+            build_catalog(tmp_path, family, 15)
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_abstract_build_levels_and_content(tmp_path):
@@ -209,6 +213,30 @@ def test_resume_of_complete_lattice_catalog_grows_nothing(tmp_path, monkeypatch)
     os.unlink(top)
     build_catalog(tmp_path, "adj8", 5)
     assert top.read_bytes() == reference
+
+
+def test_merge_with_every_slice_on_disk_grows_nothing(tmp_path, monkeypatch):
+    plain_dir = tmp_path / "plain"
+    shard_dir = tmp_path / "sharded"
+    build_catalog(plain_dir, "adj8", 5)
+    build_catalog(shard_dir, "adj8", 5, shards=3)
+    top = catalog_path(shard_dir, "adj8", 5)
+    os.unlink(top)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a merge of slices on disk grew or labeled a level")
+
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (catalog, "grow_masks"),
+            (catalog, "abstract_children"),
+            (catalog, "mask_classes"),
+            (enumerator, "grow_masks"),
+            (_kernels, "canonical_rows"),
+        ):
+            patch.setattr(module, name, forbidden)
+        assert len(build_catalog(shard_dir, "adj8", 5, shards=3)) == 25
+    assert top.read_bytes() == catalog_path(plain_dir, "adj8", 5).read_bytes()
 
 
 def test_resume_and_merge_check_their_files(tmp_path):

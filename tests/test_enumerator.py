@@ -124,17 +124,13 @@ def test_cell_sets_match_box_oracle(kind, n):
 
 
 def test_grow_masks_deterministic_and_sharded():
-    masks = [1]
-    for _ in range(4):
-        masks = grow_masks(4, masks)
-    again = [1]
-    for _ in range(4):
-        again = grow_masks(4, again)
-    assert masks == again
-    assert masks == sorted(masks)
-    evens = grow_masks(4, masks, selector=lambda i: i % 2 == 0)
-    odds = grow_masks(4, masks, selector=lambda i: i % 2 == 1)
-    assert sorted(set(evens) | set(odds)) == grow_masks(4, masks)
+    masks = grow_masks(4, 5)
+    assert masks == grow_masks(4, 5)
+    assert len(masks) == len(set(masks)) == 63
+    # The selector picks by index in the search order, so the slices
+    # partition the 63 fixed pentominoes.
+    slices = [grow_masks(4, 5, selector=lambda i, k=k: i % 3 == k) for k in range(3)]
+    assert slices == [masks[k::3] for k in range(3)]
 
 
 def test_cell_count_bounds():

@@ -22,48 +22,59 @@ def test_backend_value():
         assert _kernels.BACKEND == "cython"
 
 
-@needs_core
 @given(st.integers(1, 16), st.randoms(use_true_random=False))
-def test_canonical_rows_parity(n, rand):
-    from digitop import _core
-
+def test_canonical_rows_parity(core_twin, n, rand):
     rows = list(random_connected_rows(rand, n))
-    assert _core.canonical_rows(n, list(rows)) == _pure.canonical_rows(n, list(rows))
+    assert core_twin.canonical_rows(n, list(rows)) == _pure.canonical_rows(n, list(rows))
 
 
 # The pure one-step walk has to exhaust a stream bounded by prod(deg+1),
 # which explodes on dense images; n <= 8 keeps the worst example tractable.
 
 
-@needs_core
 @settings(max_examples=40)
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
-def test_classify_flags_parity(n, rand):
-    from digitop import _core
-
+def test_classify_flags_parity(core_twin, n, rand):
     rows = list(random_connected_rows(rand, n))
-    assert _core.classify_flags(n, list(rows)) == _pure.classify_flags(n, list(rows))
+    assert core_twin.classify_flags(n, list(rows)) == _pure.classify_flags(n, list(rows))
 
 
-@needs_core
 @settings(max_examples=40)
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
-def test_min_image_parity(n, rand):
-    from digitop import _core
-
+def test_min_image_parity(core_twin, n, rand):
     rows = list(random_connected_rows(rand, n))
-    assert _core.min_image_nonsurjective(n, list(rows)) == _pure.min_image_nonsurjective(
+    assert core_twin.min_image_nonsurjective(n, list(rows)) == _pure.min_image_nonsurjective(
         n, list(rows)
     )
 
 
-@needs_core
-def test_lattice_rows_parity():
-    from digitop import _core
-
+def test_lattice_rows_parity(core_twin):
     cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 1)]
     for kind in (4, 8):
-        assert _core.lattice_rows(kind, cells) == _pure.lattice_rows(kind, cells)
+        assert core_twin.lattice_rows(kind, cells) == _pure.lattice_rows(kind, cells)
+
+
+def _path_rows(n):
+    return [(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_kernel_size_contract(backend, request):
+    """Both backends take 1..62 points and raise the same ValueError outside."""
+    kernels = _pure if backend == "pure" else request.getfixturevalue("core_twin")
+    with pytest.raises(ValueError, match=r"^point count 0 outside 1\.\.62$"):
+        kernels.canonical_rows(0, [])
+    with pytest.raises(ValueError, match=r"^point count 63 outside 1\.\.62$"):
+        kernels.classify_flags(63, _path_rows(63))
+    with pytest.raises(ValueError, match=r"^point count 0 outside 1\.\.62$"):
+        kernels.min_image_nonsurjective(0, [])
+    with pytest.raises(ValueError, match=r"^cell count 63 outside 1\.\.62$"):
+        kernels.lattice_rows(4, [(x, 0) for x in range(63)])
+
+    assert kernels.canonical_rows(1, [0]) == (0,)
+    assert kernels.min_image_nonsurjective(1, [0]) is None
+    assert kernels.lattice_rows(4, [(x, 0) for x in range(62)]) == _path_rows(62)
+    assert kernels.classify_flags(62, _path_rows(62)) == (True, True, False)
 
 
 def _backend_in_subprocess(env_value):
