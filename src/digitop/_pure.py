@@ -9,17 +9,23 @@ must produce identical outputs: the canonical key is defined as the
 lexicographically least adjacency bit string over the refinement search
 leaves, and both backends implement the identical refinement, so the selected
 canonical labeling is backend independent.
+
+The one-step maps are walked in one place, :func:`one_step_maps`; the
+classification flags, the least image set and the map stream of
+:mod:`digitop.homotopy` all read that stream.  The compiled twin still has
+two walks of its own (one per kernel), which must visit the same maps.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 __all__ = [
     "canonical_rows",
     "classify_flags",
     "min_image_nonsurjective",
     "lattice_rows",
-    "bfs_order",
-    "dfs_setup",
+    "one_step_maps",
 ]
 
 
@@ -176,101 +182,101 @@ def canonical_rows(n: int, rows: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bfs_order(n: int, rows: list[int]) -> list[int]:
-    """Breadth-first vertex order from label 0 (neighbors ascending).
+def one_step_maps(n: int, rows: list[int]) -> Iterator[tuple[list[int], int, int]]:
+    """Every continuous self-map that moves each point within its closed
+    neighborhood, as one pass over a shared assignment table.
 
-    Raises ValueError if the graph is disconnected.
+    Yields ``(value, covered, fixed)`` at each map: ``value[x]`` is the
+    image of point ``x`` (the same list every time, overwritten as the walk
+    goes on), ``covered`` the number of distinct images and ``fixed`` the
+    number of fixed points.  Points are assigned in breadth-first order from
+    label 0, so each new point is adjacent to an assigned one, and a partial
+    assignment is dropped as soon as an assigned adjacent pair maps to a
+    non-adjacent, non-equal pair.  The identity always occurs.
+
+    Raises ValueError at the call, not at the first ``next``, if the point
+    count is out of range or the graph is disconnected.
     """
-    visited = 1
+    _check_points(n)
     order = [0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    visited = 1
+    for v in order:  # breadth-first: the order grows while it is read
         fresh = rows[v] & ~visited
         visited |= fresh
         order.extend(_bits(fresh))
     if len(order) != n:
         raise ValueError("adjacency graph is disconnected")
-    return order
+    return _walk(n, rows, order)
 
 
-def dfs_setup(n: int, rows: list[int]):
-    """Assignment order and per-position data for the one-step map search.
-
-    Points are assigned in BFS order from label 0 so that each new point is
-    adjacent to an already-assigned one, which makes continuity violations
-    surface as early as possible.  Returns ``(order, candidates, earlier)``
-    where ``candidates[pos]`` is the closed neighborhood of the point at
-    ``pos`` (ascending) and ``earlier[pos]`` lists its already-assigned
-    neighbors.
-    """
-    order = bfs_order(n, rows)
-    candidates = []
-    earlier = []
-    for pos, x in enumerate(order):
-        candidates.append(list(_bits(rows[x] | (1 << x))))
-        earlier.append([u for u in order[:pos] if (rows[x] >> u) & 1])
-    return order, candidates, earlier
+def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int], int, int]]:
+    # x may go to v exactly when v is in N[x] and in N[value[u]] for every
+    # assigned neighbor u, so a position's admissible images are one mask.
+    closed = [row | 1 << v for v, row in enumerate(rows)]
+    earlier = [[u for u in order[:pos] if rows[x] >> u & 1] for pos, x in enumerate(order)]
+    pending = [0] * n  # per position, the admissible images not yet tried
+    pending[0] = closed[order[0]]
+    value = [0] * n
+    hits = [0] * n
+    covered = 0
+    fixed = 0
+    last = n - 1
+    pos = 0
+    while True:
+        x = order[pos]
+        allowed = pending[pos]
+        if pos == last:  # nothing below reads hits, so leaves leave it be
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                v = low.bit_length() - 1
+                value[x] = v
+                yield value, covered + (not hits[v]), fixed + (v == x)
+        if not allowed:
+            if not pos:
+                return
+            pos -= 1
+            x = order[pos]
+            v = value[x]
+            hits[v] -= 1
+            if not hits[v]:
+                covered -= 1
+            if v == x:
+                fixed -= 1
+            continue
+        low = allowed & -allowed
+        pending[pos] = allowed ^ low
+        v = low.bit_length() - 1
+        value[x] = v
+        if not hits[v]:
+            covered += 1
+        hits[v] += 1
+        if v == x:
+            fixed += 1
+        pos += 1
+        allowed = closed[order[pos]]
+        for u in earlier[pos]:
+            allowed &= closed[value[u]]
+        pending[pos] = allowed
 
 
 def classify_flags(n: int, rows: list[int]) -> tuple[bool, bool, bool]:
     """(reducible, pointed_reducible, rigid) for a connected image.
 
-    Single depth-first pass over all continuous self-maps that move each
-    point within its closed neighborhood.  A partial assignment is abandoned
-    as soon as an already-assigned adjacent pair maps to a non-adjacent,
-    non-equal pair.  Stops early once all three verdicts are determined; the
-    negative verdicts require exhausting the stream.
+    One pass over :func:`one_step_maps`.  Stops at the first pointed
+    non-surjection, which settles all three verdicts; the negative verdicts
+    require exhausting the stream.
     """
-    _check_points(n)
-    order, candidates, earlier = dfs_setup(n, rows)
-    value = [0] * n
-    hits = [0] * n
-    covered = 0
-    fixed = 0
     reducible = False
-    pointed = False
     non_identity = False
-
-    def walk(pos: int) -> bool:
-        nonlocal covered, fixed, reducible, pointed, non_identity
-        if pos == n:
-            if covered < n:
-                reducible = True
-                if fixed > 0:
-                    pointed = True
-            if fixed < n:
-                non_identity = True
-            return pointed and non_identity
-        x = order[pos]
-        for v in candidates[pos]:
-            row_v = rows[v]
-            ok = True
-            for u in earlier[pos]:
-                fu = value[u]
-                if v != fu and not (row_v >> fu) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            value[x] = v
-            hits[v] += 1
-            if hits[v] == 1:
-                covered += 1
-            if v == x:
-                fixed += 1
-            if walk(pos + 1):
-                return True
-            hits[v] -= 1
-            if hits[v] == 0:
-                covered -= 1
-            if v == x:
-                fixed -= 1
-        return False
-
-    walk(0)
-    return reducible, pointed, not non_identity
+    for _, covered, fixed in one_step_maps(n, rows):
+        if covered < n:
+            if fixed:
+                return True, True, False
+            reducible = True
+        if fixed < n:
+            non_identity = True
+    return reducible, False, not non_identity
 
 
 def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
@@ -279,42 +285,12 @@ def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
     Image sets are compared as ascending label tuples.  Returns None when
     every continuous one-step map is surjective (the image is irreducible).
     """
-    _check_points(n)
-    order, candidates, earlier = dfs_setup(n, rows)
-    value = [0] * n
-    hits = [0] * n
-    covered = 0
     best: tuple[int, ...] | None = None
-
-    def walk(pos: int) -> None:
-        nonlocal covered, best
-        if pos == n:
-            if covered < n:
-                image_set = tuple(v for v in range(n) if hits[v])
-                if best is None or image_set < best:
-                    best = image_set
-            return
-        x = order[pos]
-        for v in candidates[pos]:
-            row_v = rows[v]
-            ok = True
-            for u in earlier[pos]:
-                fu = value[u]
-                if v != fu and not (row_v >> fu) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            value[x] = v
-            hits[v] += 1
-            if hits[v] == 1:
-                covered += 1
-            walk(pos + 1)
-            hits[v] -= 1
-            if hits[v] == 0:
-                covered -= 1
-
-    walk(0)
+    for value, covered, _ in one_step_maps(n, rows):
+        if covered < n:
+            image_set = tuple(sorted(set(value)))
+            if best is None or image_set < best:
+                best = image_set
     return best
 
 

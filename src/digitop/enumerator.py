@@ -26,6 +26,7 @@ classified slices through the same least-witness rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable
 
 from . import _kernels
@@ -114,7 +115,8 @@ def grow_masks(kind: int, n: int, selector: Callable[[int], bool] | None = None)
     takes back a cell once a branch has passed it over, so no set is seen
     twice and no deduplication is needed.  The root sits in column 0, so a
     set is normalized by shifting out its empty low rows.  ``selector``
-    picks outputs by their index in the search order (for sharding).
+    picks outputs by their index in the search order (for sharding); a set
+    it rejects is never stored.
     """
     if not 1 <= n <= MAX_CELLS:
         raise ValueError(f"cell count {n} outside 1..{MAX_CELLS}")
@@ -131,23 +133,23 @@ def grow_masks(kind: int, n: int, selector: Callable[[int], bool] | None = None)
         near = [(x + dx, y + dy) for dx, dy in steps]
         neighbors.append(sum(1 << (ny * _W + nx) for nx, ny in near if (nx, ny) in reachable))
     out: list[int] = []
+    index = count()
 
     def extend(cells: int, untried: int, seen: int, size: int) -> None:
         while untried:
             low = untried & -untried
             untried ^= low
             if size + 1 == n:
-                grown = cells | low
-                out.append(grown >> ((grown & -grown).bit_length() - 1 & ~15))
+                if selector is None or selector(next(index)):
+                    grown = cells | low
+                    out.append(grown >> ((grown & -grown).bit_length() - 1 & ~15))
             else:
                 fresh = neighbors[low.bit_length() - 1] & ~seen
                 extend(cells | low, untried | fresh, seen | fresh, size + 1)
 
     root = 1 << (n - 1) * _W
     extend(0, root, root, 0)
-    if selector is None:
-        return out
-    return [mask for index, mask in enumerate(out) if selector(index)]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,33 +118,12 @@ def _require_connected(image: DigitalImage) -> None:
 def one_step_identity_maps(image: DigitalImage) -> Iterator[SelfMap]:
     """All continuous self-maps with ``f(x)`` in the closed neighborhood of x.
 
-    Exhaustive depth-first assignment in breadth-first point order; a partial
-    assignment is dropped as soon as an already-assigned adjacent pair breaks
-    continuity.  The identity always occurs in the stream.
+    The stream of :func:`digitop._pure.one_step_maps`, one table per map.
+    The identity always occurs in the stream.
     """
     _require_connected(image)
-    n, rows = image.n, list(image.rows)
-    order, candidates, earlier = _pure.dfs_setup(n, rows)
-    value = [0] * n
-
-    def walk(pos: int) -> Iterator[SelfMap]:
-        if pos == n:
-            yield SelfMap(image, tuple(value))
-            return
-        x = order[pos]
-        for v in candidates[pos]:
-            row_v = rows[v]
-            ok = True
-            for u in earlier[pos]:
-                fu = value[u]
-                if v != fu and not (row_v >> fu) & 1:
-                    ok = False
-                    break
-            if ok:
-                value[x] = v
-                yield from walk(pos + 1)
-
-    return walk(0)
+    maps = _pure.one_step_maps(image.n, list(image.rows))
+    return (SelfMap(image, tuple(value)) for value, _, _ in maps)
 
 
 def classify(image: DigitalImage) -> Classification:
@@ -171,33 +150,17 @@ def _induced_subimage(image: DigitalImage, keep: tuple[int, ...]) -> DigitalImag
     return DigitalImage(len(keep), tuple(rows))
 
 
-def _witness_image_set(image: DigitalImage, policy: str) -> tuple[int, ...] | None:
-    if policy == "lex-min-image":
-        return _kernels.min_image_nonsurjective(image.n, list(image.rows))
-    if policy in ("first", "last"):
-        found = None
-        for f in one_step_identity_maps(image):
-            if not f.is_surjective:
-                found = tuple(sorted(set(f.table)))
-                if policy == "first":
-                    return found
-        return found
-    raise ValueError(f"unknown reduction policy: {policy!r}")
-
-
-def reduce_to_core(image: DigitalImage, policy: str = "lex-min-image") -> DigitalImage:
+def reduce_to_core(image: DigitalImage) -> DigitalImage:
     """Shrink to an irreducible image homotopy equivalent to the input.
 
-    Repeatedly picks a non-surjective one-step map and restricts to the
-    induced subimage on its image set.  The default policy takes the
-    lexicographically least image set, which makes the result deterministic;
-    the ``first``/``last`` stream-order policies exist to check that the core
-    is independent of the choice up to isomorphism.
+    Repeatedly restricts to the induced subimage on the image set of a
+    non-surjective one-step map, taking the lexicographically least image
+    set so that the result is deterministic.
     """
     _require_connected(image)
     current = image
     while True:
-        keep = _witness_image_set(current, policy)
+        keep = _kernels.min_image_nonsurjective(current.n, list(current.rows))
         if keep is None:
             return current
         current = _induced_subimage(current, keep)
