@@ -225,7 +225,9 @@ def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int]
     while True:
         x = order[pos]
         allowed = pending[pos]
-        if pos == last:  # nothing below reads hits, so leaves leave it be
+        # Most steps are leaves: yield the whole last mask in one loop, and
+        # skip the hit counts, which nothing below the last position reads.
+        if pos == last:
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
