@@ -1,14 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("digitop._core", ["src/digitop/_core.pyx"], optional=True)],
-        language_level="3",
-    )
-except ImportError:
-    # No Cython: install the pure-Python package; digitop falls back at import.
-    extensions = []
-
-setup(ext_modules=extensions)
+# The compiled kernels are optional: without a working C compiler the build
+# skips them, and digitop falls back to the pure-Python twin at import.
+setup(ext_modules=[Extension("digitop._core", ["src/digitop/_core.c"], optional=True)])

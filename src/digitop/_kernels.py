@@ -1,12 +1,14 @@
 """Kernel backend selection.
 
 The compiled extension ``digitop._core`` is preferred when it imports; the
-pure-Python module ``digitop._pure`` is the fallback.  Both expose the same
-functions with identical outputs, so everything above this module is backend
-agnostic.
+pure-Python module ``digitop._pure`` is the fallback.  The extension is one
+hand-written C file, ``_core.c``, which the package build compiles when a C
+compiler is present and skips otherwise.  Both expose the same functions with
+identical outputs, so everything above this module is backend agnostic.
 
 Set ``DIGITOP_BACKEND=python`` to force the fallback, or
-``DIGITOP_BACKEND=cython`` to require the extension (ImportError if absent).
+``DIGITOP_BACKEND=cython`` (or ``c``) to require the extension (ImportError if
+absent); the name ``cython`` is kept for existing settings.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ canonical labeling is backend independent.
 
 The one-step maps are walked in one place, :func:`one_step_maps`; the
 classification flags, the least image set and the map stream of
-:mod:`digitop.homotopy` all read that stream.  The compiled twin still has
-two walks of its own (one per kernel), which must visit the same maps.
+:mod:`digitop.homotopy` all read that stream.  The compiled twin walks the
+same maps in the same order with one walker of its own and the same rule for
+a point's admissible images, and hands each map to a per-kernel leaf.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ __all__ = [
 _MAXN = 62  # the compiled twin's limit, kept here so both backends agree
 
 
-def _check_points(n: int) -> None:
+def _check_size(n: int, rows: list[int]) -> None:
+    """The size contract of both backends: 1..62 points, and each of the
+    first ``n`` rows within bits ``0..n-1`` (a negative row never is)."""
     if not 1 <= n <= _MAXN:
         raise ValueError(f"point count {n} outside 1..{_MAXN}")
+    outside = -1 << n
+    for u in range(n):
+        if rows[u] & outside:
+            raise ValueError(f"row {u} has bits outside 0..{n - 1}")
 
 
 def _bits(mask: int):
@@ -166,7 +173,7 @@ def canonical_rows(n: int, rows: list[int]) -> tuple[int, ...]:
     are isomorphic.  Individualization-refinement search over an equitable
     partition, taking the minimum adjacency bit string over all leaves.
     """
-    _check_points(n)
+    _check_size(n, rows)
     if n == 1:
         return (0,)
     order = _canonical_order(n, rows)
@@ -197,7 +204,7 @@ def one_step_maps(n: int, rows: list[int]) -> Iterator[tuple[list[int], int, int
     Raises ValueError at the call, not at the first ``next``, if the point
     count is out of range or the graph is disconnected.
     """
-    _check_points(n)
+    _check_size(n, rows)
     order = [0]
     visited = 1
     for v in order:  # breadth-first: the order grows while it is read

@@ -151,7 +151,13 @@ def core_twin(tmp_path_factory):
         check=True,
         capture_output=True,
     )
-    spec = importlib.util.spec_from_file_location("digitop._core", target)
+    return load_core(target)
+
+
+def load_core(path: Path):
+    """The compiled extension at ``path``, loaded as ``digitop._core``
+    without touching ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("digitop._core", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

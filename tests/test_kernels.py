@@ -3,14 +3,16 @@
 import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitop import _kernels, _pure
+from digitop.enumerator import enumerate_abstract_connected
 
-from .conftest import random_connected_rows, subprocess_env
+from .conftest import load_core, random_connected_rows, subprocess_env
 
 _HAVE_CORE = importlib.util.find_spec("digitop._core") is not None
 needs_core = pytest.mark.skipif(not _HAVE_CORE, reason="compiled extension not built")
@@ -48,6 +50,18 @@ def test_min_image_parity(core_twin, n, rand):
     )
 
 
+def test_one_step_kernels_parity_exhaustive(core_twin):
+    """Both one-step walkers agree on every connected class with n <= 7."""
+    classes = [c for n in range(1, 8) for c in enumerate_abstract_connected(n)]
+    assert len(classes) == 996
+    for c in classes:
+        n, rows = c.n, list(c.representative.rows)
+        assert core_twin.classify_flags(n, rows) == _pure.classify_flags(n, rows), rows
+        assert core_twin.min_image_nonsurjective(n, rows) == _pure.min_image_nonsurjective(
+            n, rows
+        ), rows
+
+
 def test_lattice_rows_parity(core_twin):
     cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 1)]
     for kind in (4, 8):
@@ -60,7 +74,8 @@ def _path_rows(n):
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_kernel_size_contract(backend, request):
-    """Both backends take 1..62 points and raise the same ValueError outside."""
+    """Both backends take 1..62 points with rows within 0..n-1 and raise the
+    same ValueError outside."""
     kernels = _pure if backend == "pure" else request.getfixturevalue("core_twin")
     with pytest.raises(ValueError, match=r"^point count 0 outside 1\.\.62$"):
         kernels.canonical_rows(0, [])
@@ -75,6 +90,48 @@ def test_kernel_size_contract(backend, request):
     assert kernels.min_image_nonsurjective(1, [0]) is None
     assert kernels.lattice_rows(4, [(x, 0) for x in range(62)]) == _path_rows(62)
     assert kernels.classify_flags(62, _path_rows(62)) == (True, True, False)
+
+    # Each of the first n rows must lie within bits 0..n-1; rows past n are
+    # not read.  In C, bits 62 and 63 would index past the scratch arrays.
+    wide = _path_rows(62)
+    wide[61] |= 1 << 63
+    bad_rows = [
+        (3, [0b110, 0b1001, 0b011], r"^row 1 has bits outside 0\.\.2$"),
+        (2, [-1, 1], r"^row 0 has bits outside 0\.\.1$"),
+        (2, [0b10, -4], r"^row 1 has bits outside 0\.\.1$"),
+        (62, wide, r"^row 61 has bits outside 0\.\.61$"),
+        (3, [0b110, 1 << 100, 0b011], r"^row 1 has bits outside 0\.\.2$"),
+    ]
+    for n, rows, message in bad_rows:
+        for kernel in (kernels.canonical_rows, kernels.classify_flags,
+                       kernels.min_image_nonsurjective):
+            with pytest.raises(ValueError, match=message):
+                kernel(n, rows)
+    assert kernels.classify_flags(2, [0b10, 0b01, -1, 1 << 70]) == (True, True, False)
+
+
+def test_setup_builds_extension(core_twin, tmp_path):
+    """``setup.py build_ext`` compiles the extension, which ``optional=True``
+    would otherwise let fail quietly, and leaves the source tree as it was."""
+    root = Path(__file__).resolve().parent.parent
+
+    def leftovers():
+        return {
+            p for pattern in ("build", "*.egg-info", "src/*.egg-info", "src/**/*.so")
+            for p in root.glob(pattern)
+        }
+
+    before = leftovers()
+    lib = tmp_path / "lib"
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
+         "--build-temp", str(tmp_path / "temp")],
+        cwd=root, check=True, capture_output=True, text=True,
+    )
+    assert leftovers() == before
+    built = list((lib / "digitop").glob("_core*"))
+    assert len(built) == 1, f"setup.py built no extension:\n{proc.stderr[-2000:]}"
+    assert load_core(built[0]).canonical_rows(3, [0b010, 0b101, 0b010]) == _pure.canonical_rows(3, [2, 5, 2])
 
 
 def _backend_in_subprocess(env_value):
