@@ -17,17 +17,21 @@ Three families:
 The fixed (translation-normalized) cell sets of one size come straight from
 Redelmeier's enumeration (*Counting polyominoes: yet another attack*, 1981),
 each exactly once, packed into one int with 16 bits per row; a lattice level
-never reads a lower one.  Rotations and reflections collapse when the sets
-are canonically labeled as images: each level keeps the least witness cell
-set per canonical code, and the shard merge in :mod:`digitop.catalog` folds
-classified slices through the same least-witness rule.
+never reads a lower one.  A rotation or reflection of a cell set is an
+isomorphic image, so only the least set of each D4 orbit (in the witness
+order, sorted (x, y) tuples) is canonically labeled: a closed-form integer
+test on the set decides it before any labeling.  Each level keeps the least
+witness cell set per canonical code; a class is a union of whole orbits, so
+that witness is always the least of its orbit and is never filtered out.
+The shard merge in :mod:`digitop.catalog` folds classified slices through
+the same least-witness rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from ._pure import _bits
@@ -257,16 +261,65 @@ def abstract_children(
     return sorted(codes)
 
 
-def _mask_item(kind: int, mask: int) -> tuple[str, tuple[Cell, ...]]:
+def _orbit_images(mask: int, cells: list[Cell]) -> Iterator[int]:
+    """The seven other rotations and reflections of a cell set, each packed
+    x-major (bit 16x + y) and translation-normalized.
+
+    ``cells`` is the set in (x, y) order and ``mask`` the same set packed
+    y-major (bit 16y + x).  With W = max x and H = max y, each image has a
+    closed form.  The transpose (y, x) comes first: packed x-major it is the
+    stored mask itself.
+    """
+    yield mask
+    w = cells[-1][0]
+    h = mask.bit_length() - 1 >> 4
+    yield sum(1 << ((w - x) << 4 | h - y) for x, y in cells)
+    yield sum(1 << ((h - y) << 4 | w - x) for x, y in cells)
+    yield sum(1 << ((w - x) << 4 | y) for x, y in cells)
+    yield sum(1 << (x << 4 | h - y) for x, y in cells)
+    yield sum(1 << ((h - y) << 4 | x) for x, y in cells)
+    yield sum(1 << (y << 4 | w - x) for x, y in cells)
+
+
+def _least_in_orbit(mask: int, cells: list[Cell]) -> bool:
+    """Whether no rotation or reflection of the set sorts before it as a
+    sorted (x, y) tuple, the order that :func:`least_witness_items` uses.
+
+    Packed x-major, cells in (x, y) order are bits in ascending order, so of
+    two sets of one size, A sorts before B exactly when the lowest bit of
+    A ^ B lies in A.
+    """
+    own = sum(1 << (x << 4 | y) for x, y in cells)
+    for image in _orbit_images(mask, cells):
+        diff = own ^ image
+        if diff & -diff & image:
+            return False
+    return True
+
+
+def _mask_item(kind: int, mask: int) -> tuple[str, tuple[Cell, ...]] | None:
+    """A mask's (code, cells in (x, y) order), or None when it is not the
+    least of its D4 orbit."""
     cells = _mask_cells(mask)
+    if not _least_in_orbit(mask, cells):
+        return None
     rows = _kernels.lattice_rows(kind, cells)
     canon = _kernels.canonical_rows(len(cells), rows)
     return _encode_rows(len(cells), canon), tuple(cells)
 
 
 def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
-    """Canonicalize each cell-set mask: sorted (code, least witness) per class."""
-    return least_witness_items(_mask_item(kind, mask) for mask in masks)
+    """Canonicalize cell-set masks: sorted (code, least witness) per class.
+
+    Only a mask that is the least of its D4 orbit (its rotations and
+    reflections) is labeled.  Every image in an orbit is isomorphic, so a
+    class is a union of whole orbits, and its least witness is the least
+    member of its own orbit: the witnesses are those of labeling every mask.
+    In a shard slice, each orbit's least member falls in exactly one slice,
+    so the least-witness merge still sees every class.
+    """
+    items = (_mask_item(kind, mask) for mask in masks)
+    return least_witness_items(item for item in items if item is not None)
 
 
 # ---------------------------------------------------------------------------

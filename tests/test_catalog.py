@@ -263,22 +263,26 @@ def test_resume_and_merge_check_their_files(tmp_path):
 
 
 def test_sharded_build_matches_plain(tmp_path):
-    plain_dir = tmp_path / "plain"
-    shard_dir = tmp_path / "sharded"
-    build_catalog(plain_dir, "adj8", 5)
+    # Each slice labels only the orbit minima among its own cell sets, so
+    # slices hold fewer classes; the merge must still equal the plain build.
+    for family, top, shards in (("adj8", 5, 3), ("adj4", 8, 4)):
+        plain_dir = tmp_path / f"plain_{family}"
+        shard_dir = tmp_path / f"sharded_{family}"
+        build_catalog(plain_dir, family, top)
 
-    for index in range(3):
-        result = build_catalog(shard_dir, "adj8", 5, shards=3, shard=index)
-        assert result == []
-        assert (shard_dir / "shards" / f"adj8_n05.shard{index}of3.csv").exists()
-    assert not catalog_path(shard_dir, "adj8", 5).exists()
+        for index in range(shards):
+            result = build_catalog(shard_dir, family, top, shards=shards, shard=index)
+            assert result == []
+            slice_name = f"{family}_n{top:02d}.shard{index}of{shards}.csv"
+            assert (shard_dir / "shards" / slice_name).exists()
+        assert not catalog_path(shard_dir, family, top).exists()
 
-    build_catalog(shard_dir, "adj8", 5, shards=3)
-    for n in range(1, 6):
-        assert (
-            catalog_path(shard_dir, "adj8", n).read_bytes()
-            == catalog_path(plain_dir, "adj8", n).read_bytes()
-        )
+        build_catalog(shard_dir, family, top, shards=shards)
+        for n in range(1, top + 1):
+            assert (
+                catalog_path(shard_dir, family, n).read_bytes()
+                == catalog_path(plain_dir, family, n).read_bytes()
+            )
 
 
 def test_merge_run_without_preexisting_slices(tmp_path):

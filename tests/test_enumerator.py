@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from digitop import _kernels, catalog
+from digitop import _kernels, catalog, enumerator
 from digitop._kernels import canonical_rows, lattice_rows
 from digitop.catalog import (
     CatalogEntry,
@@ -28,6 +28,7 @@ from digitop.enumerator import (
     enumerate_lattice_images,
     grow_masks,
     least_witness_items,
+    mask_classes,
 )
 from digitop.image import (
     DigitalImage,
@@ -228,6 +229,82 @@ def test_lattice_witness_reproduces_code(kind):
             image = lattice_to_image(LatticeImage(kind, frozenset(cls.witness.cells)))
             assert canonical_form(image).code == cls.canonical.code
             assert cls.family == f"adj{kind}" and cls.n == n
+
+
+def _d4_images(cells):
+    """The 8 rotations and reflections of a cell set, each translation-
+    normalized and sorted."""
+    images = []
+    for swap in (False, True):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                points = [(sx * y, sy * x) if swap else (sx * x, sy * y) for x, y in cells]
+                dx = min(x for x, _ in points)
+                dy = min(y for _, y in points)
+                images.append(sorted((x - dx, y - dy) for x, y in points))
+    return images
+
+
+@pytest.mark.parametrize("kind", [4, 8])
+def test_d4_images_share_a_code(kind):
+    """The premise of the orbit filter, on every fixed set with n <= 6: all
+    8 D4 images of a set have one canonical code."""
+    for n in range(1, 7):
+        for mask in grow_masks(kind, n):
+            cells = enumerator._mask_cells(mask)
+            codes = {_code_of_cells(kind, image) for image in _d4_images(cells)}
+            assert codes == {_code_of_cells(kind, cells)}
+
+
+@pytest.mark.parametrize("kind,top", [(4, 9), (8, 7)])
+def test_orbit_filter_keeps_exactly_the_least_image(kind, top):
+    # A filter that skips one transform keeps extra sets only from adj4
+    # n = 9 and adj8 n = 7 on, which is why the levels reach that far.
+    for n in range(1, top + 1):
+        for mask in grow_masks(kind, n):
+            cells = enumerator._mask_cells(mask)
+            assert enumerator._least_in_orbit(mask, cells) == (cells == min(_d4_images(cells)))
+
+
+def _unfiltered_classes(kind, masks):
+    """Every mask labeled, with no orbit filter: the reference for mask_classes."""
+    items = []
+    for mask in masks:
+        cells = enumerator._mask_cells(mask)
+        items.append((_code_of_cells(kind, cells), tuple(cells)))
+    return least_witness_items(items)
+
+
+@pytest.mark.parametrize("kind,top", [(4, 9), (8, 6)])
+def test_mask_classes_match_unfiltered(kind, top):
+    """Filtering to orbit minima changes no code and no witness, neither for
+    a whole level nor for shard slices folded by least witness."""
+    for n in range(1, top + 1):
+        expected = _unfiltered_classes(kind, grow_masks(kind, n))
+        assert mask_classes(kind, grow_masks(kind, n)) == expected
+        slices = [
+            mask_classes(kind, grow_masks(kind, n, selector=lambda i, k=k: i % 3 == k))
+            for k in range(3)
+        ]
+        assert least_witness_items(item for part in slices for item in part) == expected
+
+
+def test_mask_classes_label_one_set_per_orbit(monkeypatch):
+    """Only the least set of each D4 orbit is labeled: one labeling per free
+    polyomino (OEIS A000105) and per free polyking (A030222)."""
+    labelings = 0
+    label = _kernels.canonical_rows
+
+    def counted(n, rows):
+        nonlocal labelings
+        labelings += 1
+        return label(n, rows)
+
+    monkeypatch.setattr(_kernels, "canonical_rows", counted)
+    for kind, n, free in ((4, 8, 369), (8, 6, 524)):
+        labelings = 0
+        mask_classes(kind, grow_masks(kind, n))
+        assert labelings == free
 
 
 def test_straight_and_bent_triominoes_coincide():
