@@ -7,8 +7,9 @@ compiler is present and skips otherwise.  Both expose the same functions with
 identical outputs, so everything above this module is backend agnostic.
 
 Set ``DIGITOP_BACKEND=python`` to force the fallback, or
-``DIGITOP_BACKEND=cython`` (or ``c``) to require the extension (ImportError if
-absent); the name ``cython`` is kept for existing settings.
+``DIGITOP_BACKEND=cython`` to require the extension (ImportError if absent);
+the name ``cython`` is kept for existing settings.  Unset, empty or ``auto``
+prefers the extension; any other value is a ValueError.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ import os
 
 _requested = os.environ.get("DIGITOP_BACKEND", "auto").strip().lower()
 
-if _requested in ("auto", "", "cython", "c"):
+if _requested in ("auto", "", "cython"):
     try:
         from . import _core as _impl
 
         BACKEND = "cython"
     except ImportError:
-        if _requested in ("cython", "c"):
+        if _requested == "cython":
             raise
         from . import _pure as _impl
 
         BACKEND = "python"
-elif _requested in ("python", "pure"):
+elif _requested == "python":
     from . import _pure as _impl
 
     BACKEND = "python"

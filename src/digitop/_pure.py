@@ -13,8 +13,10 @@ canonical labeling is backend independent.
 The one-step maps are walked in one place, :func:`one_step_maps`; the
 classification flags, the least image set and the map stream of
 :mod:`digitop.homotopy` all read that stream.  The compiled twin walks the
-same maps in the same order with one walker of its own and the same rule for
-a point's admissible images, and hands each map to a per-kernel leaf.
+same maps in the same order with the same state (a point's admissible images
+as one mask; each map's image set as one mask and its fixed-point count), and
+hands each map to a per-kernel leaf.  Both walkers reject a disconnected
+graph, so callers need no connectivity check of their own.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _spans(rows: list[int], alive: int) -> bool:
+    """Whether the points in the ``alive`` bitmask induce a connected image."""
+    seen = frontier = alive & -alive
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = rows[low.bit_length() - 1] & alive & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == alive
 
 
 def _refine(n: int, rows: list[int], partition: list[list[int]]) -> list[list[int]]:
@@ -193,13 +207,13 @@ def one_step_maps(n: int, rows: list[int]) -> Iterator[tuple[list[int], int, int
     """Every continuous self-map that moves each point within its closed
     neighborhood, as one pass over a shared assignment table.
 
-    Yields ``(value, covered, fixed)`` at each map: ``value[x]`` is the
-    image of point ``x`` (the same list every time, overwritten as the walk
-    goes on), ``covered`` the number of distinct images and ``fixed`` the
-    number of fixed points.  Points are assigned in breadth-first order from
-    label 0, so each new point is adjacent to an assigned one, and a partial
-    assignment is dropped as soon as an assigned adjacent pair maps to a
-    non-adjacent, non-equal pair.  The identity always occurs.
+    Yields ``(value, image, fixed)`` at each map: ``value[x]`` is the image
+    of point ``x`` (the same list every time, overwritten as the walk goes
+    on), ``image`` the image set as a mask and ``fixed`` the number of fixed
+    points.  Points are assigned in breadth-first order from label 0, so
+    each new point is adjacent to an assigned one, and a partial assignment
+    is dropped as soon as an assigned adjacent pair maps to a non-adjacent,
+    non-equal pair.  The identity always occurs.
 
     Raises ValueError at the call, not at the first ``next``, if the point
     count is out of range or the graph is disconnected.
@@ -223,45 +237,36 @@ def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int]
     earlier = [[u for u in order[:pos] if rows[x] >> u & 1] for pos, x in enumerate(order)]
     pending = [0] * n  # per position, the admissible images not yet tried
     pending[0] = closed[order[0]]
+    image = [0] * n  # per position, the image set of the positions before it
+    fixed = [0] * n  # per position, how many positions before it are fixed
     value = [0] * n
-    hits = [0] * n
-    covered = 0
-    fixed = 0
     last = n - 1
     pos = 0
     while True:
         x = order[pos]
         allowed = pending[pos]
-        # Most steps are leaves: yield the whole last mask in one loop, and
-        # skip the hit counts, which nothing below the last position reads.
+        # Most steps are leaves: yield the whole last mask in one loop rather
+        # than one pass of the outer loop per map.
         if pos == last:
+            below = image[pos]
+            held = fixed[pos]
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
                 v = low.bit_length() - 1
                 value[x] = v
-                yield value, covered + (not hits[v]), fixed + (v == x)
+                yield value, below | low, held + (v == x)
         if not allowed:
             if not pos:
                 return
             pos -= 1
-            x = order[pos]
-            v = value[x]
-            hits[v] -= 1
-            if not hits[v]:
-                covered -= 1
-            if v == x:
-                fixed -= 1
             continue
         low = allowed & -allowed
         pending[pos] = allowed ^ low
         v = low.bit_length() - 1
         value[x] = v
-        if not hits[v]:
-            covered += 1
-        hits[v] += 1
-        if v == x:
-            fixed += 1
+        image[pos + 1] = image[pos] | low
+        fixed[pos + 1] = fixed[pos] + (v == x)
         pos += 1
         allowed = closed[order[pos]]
         for u in earlier[pos]:
@@ -276,10 +281,12 @@ def classify_flags(n: int, rows: list[int]) -> tuple[bool, bool, bool]:
     non-surjection, which settles all three verdicts; the negative verdicts
     require exhausting the stream.
     """
+    maps = one_step_maps(n, rows)  # checks n before the shift below
+    full = (1 << n) - 1
     reducible = False
     non_identity = False
-    for _, covered, fixed in one_step_maps(n, rows):
-        if covered < n:
+    for _, image, fixed in maps:
+        if image != full:
             if fixed:
                 return True, True, False
             reducible = True
@@ -288,19 +295,31 @@ def classify_flags(n: int, rows: list[int]) -> tuple[bool, bool, bool]:
     return reducible, False, not non_identity
 
 
+def _image_less(a: int, b: int) -> bool:
+    """Whether image set ``a`` comes before ``b`` as an ascending label tuple.
+
+    Below the lowest differing label d the two agree; the set holding d
+    comes first unless it ends there while the other goes on.
+    """
+    if a == b:
+        return False
+    d = ((a ^ b) & -(a ^ b)).bit_length() - 1
+    return b >> d != 0 if a >> d & 1 else a >> d == 0
+
+
 def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
     """Lexicographically least image set over non-surjective one-step maps.
 
     Image sets are compared as ascending label tuples.  Returns None when
     every continuous one-step map is surjective (the image is irreducible).
     """
-    best: tuple[int, ...] | None = None
-    for value, covered, _ in one_step_maps(n, rows):
-        if covered < n:
-            image_set = tuple(sorted(set(value)))
-            if best is None or image_set < best:
-                best = image_set
-    return best
+    maps = one_step_maps(n, rows)  # checks n before the shift below
+    full = (1 << n) - 1
+    best = 0  # no non-surjection seen yet: an image set is never empty
+    for _, image, _ in maps:
+        if image != full and (not best or _image_less(image, best)):
+            best = image
+    return tuple(_bits(best)) if best else None
 
 
 def lattice_rows(kind: int, cells: list[tuple[int, int]]) -> list[int]:

@@ -34,7 +34,7 @@ from itertools import count
 from typing import Callable, Iterable, Iterator
 
 from . import _kernels
-from ._pure import _bits
+from ._pure import _bits, _spans
 from .image import CanonicalForm, DigitalImage, _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
@@ -177,18 +177,6 @@ def least_witness_items(items: Iterable[tuple]) -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # Family generation steps
-
-
-def _spans(rows: list[int], alive: int) -> bool:
-    """Whether the points in the ``alive`` bitmask induce a connected image."""
-    seen = frontier = alive & -alive
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        fresh = rows[low.bit_length() - 1] & alive & ~seen
-        seen |= fresh
-        frontier |= fresh
-    return seen == alive
 
 
 def _smaller_deletable_point(rows: list[int], parent_degrees: list[int], subset: int) -> bool:

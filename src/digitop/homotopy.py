@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _kernels, _pure
-from .image import DigitalImage, are_isomorphic, is_connected
+from .image import DigitalImage, are_isomorphic
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,13 @@ def candidate_count(image: DigitalImage) -> int:
     return total - 1
 
 
-def _require_connected(image: DigitalImage) -> None:
-    if not is_connected(image):
-        raise ValueError("classification requires a connected image")
-
-
 def one_step_identity_maps(image: DigitalImage) -> Iterator[SelfMap]:
     """All continuous self-maps with ``f(x)`` in the closed neighborhood of x.
 
     The stream of :func:`digitop._pure.one_step_maps`, one table per map.
-    The identity always occurs in the stream.
+    The identity always occurs in the stream.  Raises ValueError at the
+    call if the image is disconnected.
     """
-    _require_connected(image)
     maps = _pure.one_step_maps(image.n, list(image.rows))
     return (SelfMap(image, tuple(value)) for value, _, _ in maps)
 
@@ -130,9 +125,9 @@ def classify(image: DigitalImage) -> Classification:
     """Classify a connected image in one pruned pass over one-step maps.
 
     Positive verdicts short-circuit on the first witness; the negative ones
-    (irreducible, pointed irreducible, rigid) exhaust the stream.
+    (irreducible, pointed irreducible, rigid) exhaust the stream.  The
+    kernel's walker raises ValueError on a disconnected image.
     """
-    _require_connected(image)
     reducible, pointed, rigid = _kernels.classify_flags(image.n, list(image.rows))
     return Classification(reducible=reducible, pointed_reducible=pointed, rigid=rigid)
 
@@ -155,9 +150,10 @@ def reduce_to_core(image: DigitalImage) -> DigitalImage:
 
     Repeatedly restricts to the induced subimage on the image set of a
     non-surjective one-step map, taking the lexicographically least image
-    set so that the result is deterministic.
+    set so that the result is deterministic.  The kernel's walker raises
+    ValueError on a disconnected image; each image set it returns is
+    connected, being a continuous image of a connected one.
     """
-    _require_connected(image)
     current = image
     while True:
         keep = _kernels.min_image_nonsurjective(current.n, list(current.rows))

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import networkx as nx
 
 from . import _kernels
-from ._pure import _bits
+from ._pure import _bits, _spans
 
 GRAPH6_MAX_N = 62
 _G6_HEADER = ">>graph6<<"
@@ -270,16 +270,8 @@ def are_isomorphic(first: DigitalImage, second: DigitalImage) -> bool:
 
 
 def is_connected(image: DigitalImage) -> bool:
-    """True iff the adjacency graph is connected (breadth-first search)."""
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = seen
-        for v in _bits(frontier):
-            grown |= image.rows[v]
-        frontier = grown & ~seen
-        seen = grown
-    return seen == (1 << image.n) - 1
+    """True iff the adjacency graph is connected (one flood fill)."""
+    return _spans(image.rows, (1 << image.n) - 1)
 
 
 def is_planar(image: DigitalImage) -> bool:

@@ -190,6 +190,9 @@ def test_stream_matches_unpruned_filter(n):
         assert len(brute) <= candidate_count(image) + 1
         # The kernels read the same walk; pin them to the same brute-force set.
         rows = list(image.rows)
+        for value, mask, fixed in _pure.one_step_maps(n, rows):
+            assert mask == sum(1 << v for v in set(value))
+            assert fixed == sum(value[x] == x for x in range(n))
         shrinking = [t for t in brute if len(set(t)) < n]
         assert _pure.classify_flags(n, rows) == (
             bool(shrinking),
@@ -209,13 +212,18 @@ def test_candidate_count_values():
 
 
 def test_disconnected_inputs_rejected():
+    """The walker's one check rejects a disconnected image at every entry."""
     two = DigitalImage(2, (0, 0))
-    with pytest.raises(ValueError):
-        list(one_step_identity_maps(two))
-    with pytest.raises(ValueError):
+    edge = DigitalImage.from_edges(2, [(0, 1)])
+    message = r"^adjacency graph is disconnected$"
+    with pytest.raises(ValueError, match=message):
+        one_step_identity_maps(two)
+    with pytest.raises(ValueError, match=message):
         classify(two)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         reduce_to_core(two)
+    with pytest.raises(ValueError, match=message):
+        homotopy_equivalent(edge, two)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Backend selection and compiled/pure parity on identical inputs."""
 
 import importlib.util
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from digitop import _kernels, _pure
 from digitop.enumerator import enumerate_abstract_connected
+from digitop.homotopy import _induced_subimage
+from digitop.image import LatticeImage, lattice_to_image
 
 from .conftest import load_core, random_connected_rows, subprocess_env
 
@@ -62,6 +65,52 @@ def test_one_step_kernels_parity_exhaustive(core_twin):
         ), rows
 
 
+def _eden_animal(rng, size):
+    """Eden growth: a random 4-neighbour of a random cell, until ``size`` cells."""
+    cells = {(0, 0)}
+    while len(cells) < size:
+        x, y = rng.choice(sorted(cells))
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        cells.add((x + dx, y + dy))
+    return frozenset(cells)
+
+
+def test_one_step_kernels_parity_on_animals(core_twin):
+    """Both one-step walkers agree on 4-adjacency animals of 16..24 cells, the
+    sizes the core query reduces, and on every image along each reduction."""
+    rng = random.Random(0xA11)
+    for size in range(16, 25):
+        for _ in range(4):
+            image = lattice_to_image(LatticeImage(4, _eden_animal(rng, size)))
+            while True:
+                n, rows = image.n, list(image.rows)
+                assert core_twin.classify_flags(n, rows) == _pure.classify_flags(n, rows), rows
+                keep = core_twin.min_image_nonsurjective(n, rows)
+                assert keep == _pure.min_image_nonsurjective(n, rows), rows
+                if keep is None:
+                    break
+                image = _induced_subimage(image, keep)
+
+
+def test_image_less_is_ascending_tuple_order():
+    """``_pure._image_less`` compares image masks as ascending label tuples."""
+
+    def less(a, b):
+        return tuple(_pure._bits(a)) < tuple(_pure._bits(b))
+
+    for a in range(1, 1 << 7):
+        for b in range(1, 1 << 7):
+            assert _pure._image_less(a, b) == less(a, b), (a, b)
+    rng = random.Random(62)
+    for _ in range(5000):
+        a = rng.getrandbits(62) or 1
+        # b keeps a's labels below a random cut, so long shared prefixes occur.
+        cut = rng.randrange(63)
+        b = (a & ((1 << cut) - 1)) | (rng.getrandbits(62) >> cut << cut) or 1
+        assert _pure._image_less(a, b) == less(a, b), (a, b)
+        assert _pure._image_less(b, a) == less(b, a), (a, b)
+
+
 def test_lattice_rows_parity(core_twin):
     cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 1)]
     for kind in (4, 8):
@@ -109,6 +158,11 @@ def test_kernel_size_contract(backend, request):
                 kernel(n, rows)
     assert kernels.classify_flags(2, [0b10, 0b01, -1, 1 << 70]) == (True, True, False)
 
+    # The walker itself rejects a disconnected graph; callers add no check.
+    for kernel in (kernels.classify_flags, kernels.min_image_nonsurjective):
+        with pytest.raises(ValueError, match=r"^adjacency graph is disconnected$"):
+            kernel(2, [0, 0])
+
 
 def test_setup_builds_extension(core_twin, tmp_path):
     """``setup.py build_ext`` compiles the extension, which ``optional=True``
@@ -152,9 +206,10 @@ def test_forced_python_backend():
 
 
 def test_unknown_backend_rejected():
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "unknown DIGITOP_BACKEND" in proc.stderr
+    for value in ("fortran", "c", "pure"):
+        proc = _backend_in_subprocess(value)
+        assert proc.returncode != 0, value
+        assert "unknown DIGITOP_BACKEND" in proc.stderr, value
 
 
 @needs_core
