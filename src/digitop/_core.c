@@ -8,8 +8,11 @@
  *
  * Both backends give identical outputs on every input, invalid ones
  * included, so these steps match _pure step for step:
+ *  - the calling contract: each kernel takes exactly two positional
+ *    arguments, and anything else is a TypeError;
  *  - the size contract: 1..62 points, and each of the first n rows within
- *    0..n-1, with the same ValueError messages;
+ *    0..n-1; for lattice_rows, at most 62 cells, each coordinate within
+ *    -2**62..2**62-1; with the same ValueError messages;
  *  - canonical labeling: the equitable refinement (each cell split by its
  *    members' sorted neighbour-colour signatures, sub-cells in signature
  *    order, members in their old order), the twin-cell collapse, the first
@@ -42,35 +45,13 @@ static inline int ctz(uint64_t x) /* x must be nonzero */
 static uint64_t rows_[MAXN];
 static int cn; /* point count of the problem currently loaded */
 
-/* Exactly two arguments, by position or by the given keyword names. */
-static int two_args(const char *fname, const char *const names[2], PyObject *const *args,
-                    Py_ssize_t nargs, PyObject *kwnames, PyObject *out[2])
+/* Every kernel takes exactly two positional arguments. */
+static int two_args(const char *fname, Py_ssize_t nargs)
 {
-    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
-    out[0] = nargs > 0 ? args[0] : NULL;
-    out[1] = nargs > 1 ? args[1] : NULL;
-    if (nargs + nkw > 2) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)", fname, nargs + nkw);
-        return -1;
-    }
-    for (Py_ssize_t k = 0; k < nkw; k++) {
-        PyObject *key = PyTuple_GET_ITEM(kwnames, k);
-        int slot = PyUnicode_CompareWithASCIIString(key, names[0]) == 0   ? 0
-                   : PyUnicode_CompareWithASCIIString(key, names[1]) == 0 ? 1
-                                                                           : -1;
-        if (slot < 0 || out[slot]) {
-            PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated argument '%U'",
-                         fname, key);
-            return -1;
-        }
-        out[slot] = args[nargs + k];
-    }
-    if (!out[0] || !out[1]) {
-        PyErr_Format(PyExc_TypeError, "%s() missing argument '%s'", fname,
-                     names[out[0] ? 1 : 0]);
-        return -1;
-    }
-    return 0;
+    if (nargs == 2)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments (%zd given)", fname, nargs);
+    return -1;
 }
 
 /* Checks n and the first n rows and copies the rows into rows_. */
@@ -302,11 +283,9 @@ static void search(int d)
 }
 
 static PyObject *canonical_rows(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                Py_ssize_t nargs, PyObject *kwnames)
+                                Py_ssize_t nargs)
 {
-    static const char *const names[2] = {"n", "rows"};
-    PyObject *a[2];
-    if (two_args("canonical_rows", names, args, nargs, kwnames, a) < 0 || load(a[0], a[1]) < 0)
+    if (two_args("canonical_rows", nargs) < 0 || load(args[0], args[1]) < 0)
         return NULL;
     int n = cn;
     if (n == 1)
@@ -418,11 +397,9 @@ static int flags_at_map(uint64_t image, int fixed)
 }
 
 static PyObject *classify_flags(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                Py_ssize_t nargs, PyObject *kwnames)
+                                Py_ssize_t nargs)
 {
-    static const char *const names[2] = {"n", "rows"};
-    PyObject *a[2];
-    if (two_args("classify_flags", names, args, nargs, kwnames, a) < 0 || load(a[0], a[1]) < 0 ||
+    if (two_args("classify_flags", nargs) < 0 || load(args[0], args[1]) < 0 ||
         prepare_maps() < 0)
         return NULL;
     fl_reducible = fl_pointed = fl_moved = 0;
@@ -452,12 +429,10 @@ static int min_image_at_map(uint64_t image, int Py_UNUSED(fixed))
 }
 
 static PyObject *min_image_nonsurjective(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                         Py_ssize_t nargs, PyObject *kwnames)
+                                         Py_ssize_t nargs)
 {
-    static const char *const names[2] = {"n", "rows"};
-    PyObject *a[2];
-    if (two_args("min_image_nonsurjective", names, args, nargs, kwnames, a) < 0 ||
-        load(a[0], a[1]) < 0 || prepare_maps() < 0)
+    if (two_args("min_image_nonsurjective", nargs) < 0 || load(args[0], args[1]) < 0 ||
+        prepare_maps() < 0)
         return NULL;
     mi_best = 0;
     walk(0, 0, 0, min_image_at_map);
@@ -482,14 +457,11 @@ static PyObject *min_image_nonsurjective(PyObject *Py_UNUSED(self), PyObject *co
  * Lattice adjacency
  */
 
-/* |a - b|, exact for every pair of longs. */
-static unsigned long gap(long a, long b)
-{
-    return a < b ? (unsigned long)b - (unsigned long)a : (unsigned long)a - (unsigned long)b;
-}
+#define COORD_LIMIT (1LL << 62)
 
-/* Reads one cell as an (x, y) pair, as _pure's `x, y = cells[i]` does. */
-static int read_cell(PyObject *cell, long *x, long *y)
+/* Reads one cell as an (x, y) pair, as _pure's `x, y = cells[i]` does.  Each
+ * coordinate must lie in -2**62..2**62-1, where every difference is exact. */
+static int read_cell(PyObject *cell, long long xy[2])
 {
     PyObject *pair = PySequence_Fast(cell, "a cell must be an (x, y) pair");
     if (!pair)
@@ -497,48 +469,51 @@ static int read_cell(PyObject *cell, long *x, long *y)
     int ok = PySequence_Fast_GET_SIZE(pair) == 2;
     if (!ok)
         PyErr_SetString(PyExc_ValueError, "a cell must be an (x, y) pair");
-    else {
-        *x = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 0));
-        *y = *x == -1 && PyErr_Occurred() ? -1 : PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 1));
-        ok = !(*y == -1 && PyErr_Occurred());
+    for (int k = 0; ok && k < 2; k++) {
+        int overflow;
+        xy[k] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(pair, k), &overflow);
+        if (xy[k] == -1 && PyErr_Occurred())
+            ok = 0;
+        else if (overflow || xy[k] < -COORD_LIMIT || xy[k] >= COORD_LIMIT) {
+            PyErr_SetString(PyExc_ValueError, "cell coordinate outside -2**62..2**62-1");
+            ok = 0;
+        }
     }
     Py_DECREF(pair);
     return ok ? 0 : -1;
 }
 
 static PyObject *lattice_rows(PyObject *Py_UNUSED(self), PyObject *const *args,
-                              Py_ssize_t nargs, PyObject *kwnames)
+                              Py_ssize_t nargs)
 {
-    static const char *const names[2] = {"kind", "cells"};
-    PyObject *a[2];
-    if (two_args("lattice_rows", names, args, nargs, kwnames, a) < 0)
+    if (two_args("lattice_rows", nargs) < 0)
         return NULL;
     int overflow;
-    long kind = PyLong_AsLongAndOverflow(a[0], &overflow);
+    long kind = PyLong_AsLongAndOverflow(args[0], &overflow);
     if (kind == -1 && PyErr_Occurred())
         return NULL;
     int four = !overflow && kind == 4;
-    if (!PySequence_Check(a[1])) {
+    if (!PySequence_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "cells must be a sequence");
         return NULL;
     }
-    PyObject *cells = PySequence_Fast(a[1], "cells must be a sequence");
+    PyObject *cells = PySequence_Fast(args[1], "cells must be a sequence");
     if (!cells)
         return NULL;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(cells);
-    long xs[MAXN], ys[MAXN];
+    long long xy[MAXN][2];
     int bad = n > MAXN;
     if (bad)
         PyErr_Format(PyExc_ValueError, "cell count %zd outside 1..%d", n, MAXN);
     for (Py_ssize_t i = 0; i < n && !bad; i++)
-        bad = read_cell(PySequence_Fast_GET_ITEM(cells, i), &xs[i], &ys[i]) < 0;
+        bad = read_cell(PySequence_Fast_GET_ITEM(cells, i), xy[i]) < 0;
     Py_DECREF(cells);
     if (bad)
         return NULL;
     uint64_t out[MAXN] = {0};
     for (Py_ssize_t i = 0; i < n; i++)
         for (Py_ssize_t j = i + 1; j < n; j++) {
-            unsigned long dx = gap(xs[i], xs[j]), dy = gap(ys[i], ys[j]);
+            long long dx = llabs(xy[i][0] - xy[j][0]), dy = llabs(xy[i][1] - xy[j][1]);
             if (four ? (dx == 0 && dy == 1) || (dx == 1 && dy == 0) : dx <= 1 && dy <= 1) {
                 out[i] |= (uint64_t)1 << j;
                 out[j] |= (uint64_t)1 << i;
@@ -561,18 +536,19 @@ static PyObject *lattice_rows(PyObject *Py_UNUSED(self), PyObject *const *args,
 /* ------------------------------------------------------------------------ */
 
 #define KERNEL(name, doc) \
-    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL | METH_KEYWORDS, doc}
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef core_methods[] = {
-    KERNEL(canonical_rows, "canonical_rows(n, rows)\n--\n\n"
+    KERNEL(canonical_rows, "canonical_rows(n, rows, /)\n--\n\n"
                            "Canonically relabeled adjacency rows; see digitop._pure."),
-    KERNEL(classify_flags, "classify_flags(n, rows)\n--\n\n"
+    KERNEL(classify_flags, "classify_flags(n, rows, /)\n--\n\n"
                            "(reducible, pointed_reducible, rigid); see digitop._pure."),
     KERNEL(min_image_nonsurjective,
-           "min_image_nonsurjective(n, rows)\n--\n\n"
+           "min_image_nonsurjective(n, rows, /)\n--\n\n"
            "Least non-surjective one-step image set, or None; see digitop._pure."),
-    KERNEL(lattice_rows, "lattice_rows(kind, cells)\n--\n\n"
-                         "Adjacency rows induced on grid cells; see digitop._pure."),
+    KERNEL(lattice_rows, "lattice_rows(kind, cells, /)\n--\n\n"
+                         "Adjacency rows induced on grid cells, each coordinate in\n"
+                         "-2**62..2**62-1; see digitop._pure."),
     {NULL, NULL, 0, NULL},
 };
 

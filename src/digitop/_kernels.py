@@ -5,6 +5,10 @@ pure-Python module ``digitop._pure`` is the fallback.  The extension is one
 hand-written C file, ``_core.c``, which the package build compiles when a C
 compiler is present and skips otherwise.  Both expose the same functions with
 identical outputs, so everything above this module is backend agnostic.
+Both take exactly two positional arguments per kernel and read any sequence.
+``n`` lies in 1..62, each of the first ``n`` rows within bits ``0..n-1``, and
+``lattice_rows`` takes at most 62 cells, each coordinate in -2**62..2**62-1.
+Outside this, both raise a TypeError or the same ValueError.
 
 Set ``DIGITOP_BACKEND=python`` to force the fallback, or
 ``DIGITOP_BACKEND=cython`` to require the extension (ImportError if absent);

@@ -1,6 +1,6 @@
 """Pure-Python kernels for the hot inner loops.
 
-Adjacency is represented as a list of integer bitmasks: bit ``v`` of
+Adjacency is represented as a sequence of integer bitmasks: bit ``v`` of
 ``rows[u]`` is set iff ``u ~ v``.  All functions here are pure and operate on
 ``(n, rows)`` pairs; the object layer lives in :mod:`digitop.image`.
 
@@ -180,7 +180,7 @@ def _canonical_order(n: int, rows: list[int]) -> list[int]:
     return best_order
 
 
-def canonical_rows(n: int, rows: list[int]) -> tuple[int, ...]:
+def canonical_rows(n: int, rows: list[int], /) -> tuple[int, ...]:
     """Canonically relabeled adjacency rows.
 
     Complete isomorphism invariant: two inputs yield equal tuples iff they
@@ -203,7 +203,7 @@ def canonical_rows(n: int, rows: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def one_step_maps(n: int, rows: list[int]) -> Iterator[tuple[list[int], int, int]]:
+def one_step_maps(n: int, rows: list[int], /) -> Iterator[tuple[list[int], int, int]]:
     """Every continuous self-map that moves each point within its closed
     neighborhood, as one pass over a shared assignment table.
 
@@ -274,7 +274,7 @@ def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int]
         pending[pos] = allowed
 
 
-def classify_flags(n: int, rows: list[int]) -> tuple[bool, bool, bool]:
+def classify_flags(n: int, rows: list[int], /) -> tuple[bool, bool, bool]:
     """(reducible, pointed_reducible, rigid) for a connected image.
 
     One pass over :func:`one_step_maps`.  Stops at the first pointed
@@ -307,7 +307,7 @@ def _image_less(a: int, b: int) -> bool:
     return b >> d != 0 if a >> d & 1 else a >> d == 0
 
 
-def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
+def min_image_nonsurjective(n: int, rows: list[int], /) -> tuple[int, ...] | None:
     """Lexicographically least image set over non-surjective one-step maps.
 
     Image sets are compared as ascending label tuples.  Returns None when
@@ -322,15 +322,20 @@ def min_image_nonsurjective(n: int, rows: list[int]) -> tuple[int, ...] | None:
     return tuple(_bits(best)) if best else None
 
 
-def lattice_rows(kind: int, cells: list[tuple[int, int]]) -> list[int]:
+def lattice_rows(kind: int, cells: list[tuple[int, int]], /) -> list[int]:
     """Adjacency rows induced on a list of grid cells.
 
     ``kind`` 4: orthogonal unit steps only; ``kind`` 8: both coordinates
-    differ by at most 1.  Cell order defines the labels.
+    differ by at most 1.  Cell order defines the labels.  Both backends take
+    at most 62 cells, each coordinate within ``-2**62..2**62-1`` (the
+    compiled twin's exact range), and raise the same ValueError outside.
     """
     n = len(cells)
     if n > _MAXN:
         raise ValueError(f"cell count {n} outside 1..{_MAXN}")
+    low = min(map(min, cells), default=0)
+    if low < -(1 << 62) or max(map(max, cells), default=0) >= 1 << 62:
+        raise ValueError("cell coordinate outside -2**62..2**62-1")
     rows = [0] * n
     for i in range(n):
         xi, yi = cells[i]

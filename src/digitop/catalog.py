@@ -176,7 +176,7 @@ def read_catalog_csv(path: Path) -> list[CatalogEntry]:
 
 def _classify_one(code: str) -> tuple[bool, bool, bool, bool, bool]:
     image = graph6_decode(code)
-    reducible, pointed, rigid = _kernels.classify_flags(image.n, list(image.rows))
+    reducible, pointed, rigid = _kernels.classify_flags(image.n, image.rows)
     planar = is_planar(image)
     cycle = all(image.degree(i) == 2 for i in range(image.n))
     return reducible, pointed, rigid, planar, cycle

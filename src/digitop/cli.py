@@ -15,11 +15,12 @@ import argparse
 import sys
 
 from .catalog import build_catalog, render_report, scan_conjectures
+from .enumerator import FAMILIES
 from .homotopy import Classification, classify
 from .image import DigitalImage, LatticeImage, graph6_decode, graph6_encode, lattice_to_image
 from .lattice import builtin_fixtures
 
-FIXTURE_NAMES = ("fig1-1", "fig1-2", "fig1-3", "fig2a", "fig2b")
+FIXTURE_NAMES = tuple(builtin_fixtures())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +38,7 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     enum = commands.add_parser("enumerate", help="build catalog CSV files")
-    enum.add_argument("--family", required=True, choices=("abstract", "adj4", "adj8"))
+    enum.add_argument("--family", required=True, choices=FAMILIES)
     enum.add_argument("--n", required=True, type=int, metavar="MAX", help="largest point count")
     enum.add_argument("--out", required=True, metavar="DIR", help="catalog directory")
     enum.add_argument("--shards", type=int, default=1, metavar="K", help="total shard count")
@@ -51,7 +52,7 @@ def _build_parser() -> _Parser:
 
     rep = commands.add_parser("report", help="print a family count table")
     rep.add_argument("--catalog", required=True, metavar="DIR")
-    rep.add_argument("--family", required=True, choices=("abstract", "adj4", "adj8"))
+    rep.add_argument("--family", required=True, choices=FAMILIES)
     rep.add_argument("--format", default="csv", choices=("csv", "md"))
 
     conj = commands.add_parser("conjectures", help="scan a catalog for counterexamples")

@@ -102,7 +102,8 @@ def is_continuous(f: SelfMap) -> bool:
 def candidate_count(image: DigitalImage) -> int:
     """Number of neighbor-constrained tables other than the identity.
 
-    Exactly ``prod(deg(x) + 1) - 1``; the continuity filter runs over these.
+    Exactly ``prod(deg(x) + 1) - 1``: the unpruned bound on the one-step
+    maps, which the tests compare the brute-force map set against.
     """
     total = 1
     for row in image.rows:
@@ -117,7 +118,7 @@ def one_step_identity_maps(image: DigitalImage) -> Iterator[SelfMap]:
     The identity always occurs in the stream.  Raises ValueError at the
     call if the image is disconnected.
     """
-    maps = _pure.one_step_maps(image.n, list(image.rows))
+    maps = _pure.one_step_maps(image.n, image.rows)
     return (SelfMap(image, tuple(value)) for value, _, _ in maps)
 
 
@@ -128,7 +129,7 @@ def classify(image: DigitalImage) -> Classification:
     (irreducible, pointed irreducible, rigid) exhaust the stream.  The
     kernel's walker raises ValueError on a disconnected image.
     """
-    reducible, pointed, rigid = _kernels.classify_flags(image.n, list(image.rows))
+    reducible, pointed, rigid = _kernels.classify_flags(image.n, image.rows)
     return Classification(reducible=reducible, pointed_reducible=pointed, rigid=rigid)
 
 
@@ -156,7 +157,7 @@ def reduce_to_core(image: DigitalImage) -> DigitalImage:
     """
     current = image
     while True:
-        keep = _kernels.min_image_nonsurjective(current.n, list(current.rows))
+        keep = _kernels.min_image_nonsurjective(current.n, current.rows)
         if keep is None:
             return current
         current = _induced_subimage(current, keep)

@@ -136,9 +136,11 @@ class CanonicalForm:
 
 
 def lattice_to_image(lattice: LatticeImage) -> DigitalImage:
-    """The induced abstract image; labels follow lexicographic (x, y) order."""
+    """The induced abstract image; labels follow lexicographic (x, y) order.
+    The cells move to the origin first, so only their extent is bounded."""
     cells = lattice.sorted_points()
-    rows = _kernels.lattice_rows(lattice.kind, cells)
+    x0, y0 = cells[0][0], min(y for _, y in cells)
+    rows = _kernels.lattice_rows(lattice.kind, [(x - x0, y - y0) for x, y in cells])
     return DigitalImage(len(cells), tuple(rows))
 
 
@@ -201,9 +203,11 @@ def graph6_decode(text: str) -> DigitalImage:
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     payload = data[1:]
+    acc = 0
     for k, char in enumerate(payload):
         if not 63 <= ord(char) <= 126:
             raise Graph6Error(f"invalid payload character {char!r}", offset=base + 1 + k)
+        acc = acc << 6 | ord(char) - 63
     if len(payload) < expected:
         raise Graph6Error(
             f"truncated bit vector: expected {expected} payload bytes, found {len(payload)}",
@@ -211,33 +215,17 @@ def graph6_decode(text: str) -> DigitalImage:
         )
     if len(payload) > expected:
         raise Graph6Error("trailing data after bit vector", offset=base + 1 + expected)
+    if acc & ((1 << 6 * expected - nbits) - 1):  # padding sits in the last byte
+        raise Graph6Error("nonzero padding bits", offset=base + expected)
     rows = [0] * n
-    bit_index = 0
-    for k, char in enumerate(payload):
-        value = ord(char) - 63
-        for shift in range(5, -1, -1):
-            bit = (value >> shift) & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset=base + 1 + k)
-                continue
-            if bit:
-                col = _col_of_bit(bit_index)
-                row = bit_index - col * (col - 1) // 2
+    shift = 6 * expected
+    for col in range(1, n):
+        for row in range(col):
+            shift -= 1
+            if acc >> shift & 1:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
-            bit_index += 1
     return DigitalImage(n, tuple(rows))
-
-
-def _col_of_bit(bit_index: int) -> int:
-    # Bit k sits in column c where c(c-1)/2 <= k < c(c+1)/2.
-    c = int((2 * bit_index) ** 0.5)
-    while c * (c - 1) // 2 > bit_index:
-        c -= 1
-    while (c + 1) * c // 2 <= bit_index:
-        c += 1
-    return c
 
 
 def canonical_form(image: DigitalImage) -> CanonicalForm:
@@ -246,13 +234,13 @@ def canonical_form(image: DigitalImage) -> CanonicalForm:
         raise Graph6Error(
             f"point count {image.n} exceeds the supported graph6 range ({GRAPH6_MAX_N})"
         )
-    rows = _kernels.canonical_rows(image.n, list(image.rows))
+    rows = _kernels.canonical_rows(image.n, image.rows)
     return CanonicalForm(_encode_rows(image.n, rows))
 
 
 def canonical_image(image: DigitalImage) -> DigitalImage:
     """The canonically relabeled representative of the isomorphism class."""
-    rows = _kernels.canonical_rows(image.n, list(image.rows))
+    rows = _kernels.canonical_rows(image.n, image.rows)
     return DigitalImage(image.n, tuple(rows))
 
 
@@ -264,8 +252,8 @@ def are_isomorphic(first: DigitalImage, second: DigitalImage) -> bool:
         row.bit_count() for row in second.rows
     ):
         return False
-    return _kernels.canonical_rows(first.n, list(first.rows)) == _kernels.canonical_rows(
-        second.n, list(second.rows)
+    return _kernels.canonical_rows(first.n, first.rows) == _kernels.canonical_rows(
+        second.n, second.rows
     )
 
 

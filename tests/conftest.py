@@ -129,12 +129,12 @@ def subprocess_env(**overrides: str) -> dict[str, str]:
 
 
 @pytest.fixture(scope="session")
-def core_twin(tmp_path_factory):
-    """The committed ``_core.c`` compiled with the system C compiler into a
-    temporary directory and loaded from there, without installing it.
+def compile_core():
+    """``compile_core(target, *flags)`` compiles the committed ``_core.c``
+    with the system C compiler into the extension file ``target``.
 
     Skips only when there is no C compiler or no ``Python.h``; a failed
-    compile is an error.
+    compile is an error that shows the compiler's output.
     """
     source = Path(digitop.__file__).resolve().parent / "_core.c"
     compiler = shutil.which("gcc") or shutil.which("cc")
@@ -143,14 +143,26 @@ def core_twin(tmp_path_factory):
         pytest.skip("no C compiler on PATH")
     if not (Path(include) / "Python.h").is_file():
         pytest.skip(f"no Python.h in {include}")
+
+    def compile_to(target: Path, *flags: str) -> None:
+        proc = subprocess.run(
+            [compiler, "-O2", "-fwrapv", "-DNDEBUG", "-shared", "-fPIC", *flags,
+             "-I", include, str(source), "-o", str(target)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    return compile_to
+
+
+@pytest.fixture(scope="session")
+def core_twin(compile_core, tmp_path_factory):
+    """The committed ``_core.c`` compiled into a temporary directory and
+    loaded from there, without installing it."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     target = tmp_path_factory.mktemp("twin") / f"_core{suffix}"
-    subprocess.run(
-        [compiler, "-O2", "-fwrapv", "-DNDEBUG", "-shared", "-fPIC", "-I", include,
-         str(source), "-o", str(target)],
-        check=True,
-        capture_output=True,
-    )
+    compile_core(target)
     return load_core(target)
 
 

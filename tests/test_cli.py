@@ -93,6 +93,25 @@ def test_classify_lattice_file(tmp_path, capsys):
     assert line.endswith("label=pointed-reducible")
 
 
+def test_classify_lattice_file_far_from_origin(tmp_path, capsys):
+    """Where an image sits does not matter, only its extent, which the
+    kernels bound at 2**62 on both backends."""
+    lines = []
+    for y in (0, 10**20, -(10**20)):
+        path = tmp_path / "cells.txt"
+        path.write_text(f"kind=4\n5 {y}\n5 {y + 1}\n")
+        assert main(["classify", "--in", str(path), "--format", "lattice"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines == ["kind=4 n=2 g6=A_ reducible=1 pointed_reducible=1 rigid=0 "
+                     "label=pointed-reducible\n"] * 3
+
+    path.write_text(f"kind=8\n0 0\n{2**62} 0\n")
+    assert main(["classify", "--in", str(path), "--format", "lattice"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "digitop classify: cell coordinate outside -2**62..2**62-1\n"
+
+
 def test_classify_input_errors(tmp_path, capsys):
     missing = tmp_path / "nope.g6"
     assert main(["classify", "--in", str(missing), "--format", "g6"]) == 3

@@ -163,6 +163,38 @@ def test_kernel_size_contract(backend, request):
         with pytest.raises(ValueError, match=r"^adjacency graph is disconnected$"):
             kernel(2, [0, 0])
 
+    # Every kernel takes exactly two arguments, by position only.
+    for kernel, names, args in [
+        (kernels.canonical_rows, ("n", "rows"), (1, [0])),
+        (kernels.classify_flags, ("n", "rows"), (1, [0])),
+        (kernels.min_image_nonsurjective, ("n", "rows"), (1, [0])),
+        (kernels.lattice_rows, ("kind", "cells"), (4, [(0, 0)])),
+    ]:
+        kernel(*args)
+        with pytest.raises(TypeError):
+            kernel(args[0], **{names[1]: args[1]})
+        with pytest.raises(TypeError):
+            kernel(**dict(zip(names, args)))
+        with pytest.raises(TypeError):
+            kernel(*args, None)
+
+    # Lattice coordinates lie in -2**62..2**62-1, where every difference is
+    # exact in a signed 64-bit word.
+    top, bottom = 2**62 - 1, -(2**62)
+    assert kernels.lattice_rows(8, [(top, top), (top - 1, top - 1)]) == [0b10, 0b01]
+    assert kernels.lattice_rows(4, [(bottom, 0), (bottom + 1, 0), (top, 0)]) == [0b10, 0b01, 0]
+    assert kernels.lattice_rows(4, [(0, bottom), (0, top)]) == [0, 0]
+    for bad in (2**62, 2**63, bottom - 1, -(2**63) - 1, 10**20):
+        for cells in ([(0, 0), (bad, 0)], [(0, bad), (0, 0)]):
+            with pytest.raises(ValueError, match=r"^cell coordinate outside -2\*\*62\.\.2\*\*62-1$"):
+                kernels.lattice_rows(8, cells)
+
+
+def test_core_compiles_without_warnings(compile_core, tmp_path):
+    """The hand-written C stays clean under -Wall -Wextra, so a new warning
+    fails here rather than passing unseen."""
+    compile_core(tmp_path / "_core.so", "-Wall", "-Wextra", "-Werror")
+
 
 def test_setup_builds_extension(core_twin, tmp_path):
     """``setup.py build_ext`` compiles the extension, which ``optional=True``
