@@ -22,7 +22,9 @@
  *  - the one-step maps: points in breadth-first order from label 0, and the
  *    admissible images of a point x as one mask, N[x] & N[f(u)] over the
  *    assigned neighbours u of x, tried in ascending order.  The maps
- *    therefore come in the order of _pure.one_step_maps.
+ *    therefore come in the order of _pure.one_step_maps;
+ *  - the least image set: the same exact bound skips a subtree once every
+ *    image set below it comes no earlier than the best one found.
  *
  * Adjacency rows are machine words, which caps the point count at 62.  All
  * scratch state is static, so a call allocates nothing until it builds its
@@ -323,12 +325,17 @@ static PyObject *canonical_rows(PyObject *Py_UNUSED(self), PyObject *const *args
 static int order[MAXN];     /* breadth-first from label 0 */
 static uint64_t closed[MAXN]; /* N[x], by point */
 static uint64_t earlier[MAXN]; /* by position: the neighbours assigned before it */
+static uint64_t reach[MAXN + 1]; /* by position: N[x] over it and every later one */
 static int value[MAXN];     /* by point: its image under the current map */
 static uint64_t all_points;
 
 /* Called at each map with its image set and fixed-point count; returns 1
  * to stop the walk. */
 typedef int (*leaf_fn)(uint64_t image, int fixed);
+
+/* Called before each descent with the image set of the positions assigned so
+ * far and reach[] of the next one; returns 1 to skip every map below. */
+typedef int (*prune_fn)(uint64_t placed, uint64_t later);
 
 static int prepare_maps(void)
 {
@@ -352,12 +359,17 @@ static int prepare_maps(void)
         assigned |= (uint64_t)1 << x;
     }
     all_points = assigned;
+    reach[cn] = 0;
+    for (int pos = cn - 1; pos >= 0; pos--)
+        reach[pos] = reach[pos + 1] | closed[order[pos]];
     return 0;
 }
 
 /* Extends the assignment of positions 0..pos-1, whose image set is image
- * and which fix `fixed` points, by every admissible image of position pos. */
-static int walk(int pos, uint64_t image, int fixed, leaf_fn at_map)
+ * and which fix `fixed` points, by every admissible image of position pos.
+ * A non-NULL prune may skip a subtree before the walk descends into it;
+ * with NULL every map reaches at_map. */
+static int walk(int pos, uint64_t image, int fixed, leaf_fn at_map, prune_fn prune)
 {
     int x = order[pos];
     uint64_t allowed = closed[x];
@@ -372,8 +384,10 @@ static int walk(int pos, uint64_t image, int fixed, leaf_fn at_map)
                 return 1;
             continue;
         }
+        if (prune && prune(next, reach[pos + 1]))
+            continue;
         value[x] = v;
-        if (walk(pos + 1, next, next_fixed, at_map))
+        if (walk(pos + 1, next, next_fixed, at_map, prune))
             return 1;
     }
     return 0;
@@ -403,7 +417,7 @@ static PyObject *classify_flags(PyObject *Py_UNUSED(self), PyObject *const *args
         prepare_maps() < 0)
         return NULL;
     fl_reducible = fl_pointed = fl_moved = 0;
-    walk(0, 0, 0, flags_at_map);
+    walk(0, 0, 0, flags_at_map, NULL);
     return PyTuple_Pack(3, fl_reducible ? Py_True : Py_False, fl_pointed ? Py_True : Py_False,
                         fl_moved ? Py_False : Py_True);
 }
@@ -428,6 +442,15 @@ static int min_image_at_map(uint64_t image, int Py_UNUSED(fixed))
     return 0;
 }
 
+/* The exact bound of _pure.min_image_nonsurjective: no image set between
+ * placed and placed | later comes before every reachable label up to the
+ * highest placed one (_pure._least_completion).  placed is never empty. */
+static int min_image_prune(uint64_t placed, uint64_t later)
+{
+    uint64_t up_to_top = ~(uint64_t)0 >> __builtin_clzll(placed);
+    return mi_best && !image_less((placed | later) & up_to_top, mi_best);
+}
+
 static PyObject *min_image_nonsurjective(PyObject *Py_UNUSED(self), PyObject *const *args,
                                          Py_ssize_t nargs)
 {
@@ -435,7 +458,7 @@ static PyObject *min_image_nonsurjective(PyObject *Py_UNUSED(self), PyObject *co
         prepare_maps() < 0)
         return NULL;
     mi_best = 0;
-    walk(0, 0, 0, min_image_at_map);
+    walk(0, 0, 0, min_image_at_map, min_image_prune);
     if (!mi_best)
         Py_RETURN_NONE;
     PyObject *out = PyTuple_New(__builtin_popcountll(mi_best));

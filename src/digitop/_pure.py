@@ -16,12 +16,14 @@ classification flags, the least image set and the map stream of
 same maps in the same order with the same state (a point's admissible images
 as one mask; each map's image set as one mask and its fixed-point count), and
 hands each map to a per-kernel leaf.  Both walkers reject a disconnected
-graph, so callers need no connectivity check of their own.
+graph, so callers need no connectivity check of their own.  Only the least
+image set prunes the walk, by an exact bound (:func:`_least_completion`);
+the classification flags and the map stream see every map.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 __all__ = [
     "canonical_rows",
@@ -203,7 +205,9 @@ def canonical_rows(n: int, rows: list[int], /) -> tuple[int, ...]:
     return tuple(out)
 
 
-def one_step_maps(n: int, rows: list[int], /) -> Iterator[tuple[list[int], int, int]]:
+def one_step_maps(
+    n: int, rows: list[int], /, prune: Callable[[int, int], bool] | None = None
+) -> Iterator[tuple[list[int], int, int]]:
     """Every continuous self-map that moves each point within its closed
     neighborhood, as one pass over a shared assignment table.
 
@@ -214,6 +218,12 @@ def one_step_maps(n: int, rows: list[int], /) -> Iterator[tuple[list[int], int, 
     each new point is adjacent to an assigned one, and a partial assignment
     is dropped as soon as an assigned adjacent pair maps to a non-adjacent,
     non-equal pair.  The identity always occurs.
+
+    ``prune(placed, reach)``, if given, is asked before each descent: with
+    ``placed`` the image set of the positions assigned so far and ``reach``
+    the union of N[x] over the points still to assign, every map below has
+    an image set between ``placed`` and ``placed | reach``.  A true answer
+    skips those maps; the rest still come in the same order.
 
     Raises ValueError at the call, not at the first ``next``, if the point
     count is out of range or the graph is disconnected.
@@ -227,14 +237,19 @@ def one_step_maps(n: int, rows: list[int], /) -> Iterator[tuple[list[int], int, 
         order.extend(_bits(fresh))
     if len(order) != n:
         raise ValueError("adjacency graph is disconnected")
-    return _walk(n, rows, order)
+    return _walk(n, rows, order, prune)
 
 
-def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int], int, int]]:
+def _walk(
+    n: int, rows: list[int], order: list[int], prune: Callable[[int, int], bool] | None
+) -> Iterator[tuple[list[int], int, int]]:
     # x may go to v exactly when v is in N[x] and in N[value[u]] for every
     # assigned neighbor u, so a position's admissible images are one mask.
     closed = [row | 1 << v for v, row in enumerate(rows)]
     earlier = [[u for u in order[:pos] if rows[x] >> u & 1] for pos, x in enumerate(order)]
+    reach = [0] * (n + 1)  # per position, N[x] over it and every later one
+    for pos in range(n - 1, -1, -1):
+        reach[pos] = reach[pos + 1] | closed[order[pos]]
     pending = [0] * n  # per position, the admissible images not yet tried
     pending[0] = closed[order[0]]
     image = [0] * n  # per position, the image set of the positions before it
@@ -263,9 +278,12 @@ def _walk(n: int, rows: list[int], order: list[int]) -> Iterator[tuple[list[int]
             continue
         low = allowed & -allowed
         pending[pos] = allowed ^ low
+        placed = image[pos] | low
+        if prune is not None and prune(placed, reach[pos + 1]):
+            continue
         v = low.bit_length() - 1
         value[x] = v
-        image[pos + 1] = image[pos] | low
+        image[pos + 1] = placed
         fixed[pos + 1] = fixed[pos] + (v == x)
         pos += 1
         allowed = closed[order[pos]]
@@ -307,15 +325,38 @@ def _image_less(a: int, b: int) -> bool:
     return b >> d != 0 if a >> d & 1 else a >> d == 0
 
 
+def _least_completion(placed: int, reach: int) -> int:
+    """The least image set, as an ascending label tuple, of any S with
+    ``placed <= S <= placed | reach`` (``placed`` not empty).
+
+    It is every reachable label up to max P, for P = ``placed``.  Below max P
+    each added label makes the tuple smaller: the two sets first differ at
+    that label, and both go on to max P.  Above max P the part up to max P
+    is a prefix, so each added label makes the tuple larger.
+    """
+    return (placed | reach) & ((1 << placed.bit_length()) - 1)
+
+
 def min_image_nonsurjective(n: int, rows: list[int], /) -> tuple[int, ...] | None:
     """Lexicographically least image set over non-surjective one-step maps.
 
     Image sets are compared as ascending label tuples.  Returns None when
     every continuous one-step map is surjective (the image is irreducible).
+
+    Branch and bound over :func:`one_step_maps`: every map below a partial
+    assignment has an image set S with P <= S <= P | R (P the labels placed,
+    R the closed neighborhoods still to assign), and none of them comes
+    before :func:`_least_completion` of P and R.  So once that bound does not
+    come before the best image set found, the subtree is skipped, and the
+    result is the same as over every map.
     """
-    maps = one_step_maps(n, rows)  # checks n before the shift below
-    full = (1 << n) - 1
     best = 0  # no non-surjection seen yet: an image set is never empty
+
+    def beaten(placed: int, reach: int) -> bool:
+        return best != 0 and not _image_less(_least_completion(placed, reach), best)
+
+    maps = one_step_maps(n, rows, beaten)  # checks n before the shift below
+    full = (1 << n) - 1
     for _, image, _ in maps:
         if image != full and (not best or _image_less(image, best)):
             best = image

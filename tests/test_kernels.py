@@ -15,7 +15,7 @@ from digitop.enumerator import enumerate_abstract_connected
 from digitop.homotopy import _induced_subimage
 from digitop.image import LatticeImage, lattice_to_image
 
-from .conftest import load_core, random_connected_rows, subprocess_env
+from .conftest import load_core, permuted_rows, random_connected_rows, subprocess_env
 
 _HAVE_CORE = importlib.util.find_spec("digitop._core") is not None
 needs_core = pytest.mark.skipif(not _HAVE_CORE, reason="compiled extension not built")
@@ -33,8 +33,10 @@ def test_canonical_rows_parity(core_twin, n, rand):
     assert core_twin.canonical_rows(n, list(rows)) == _pure.canonical_rows(n, list(rows))
 
 
-# The pure one-step walk has to exhaust a stream bounded by prod(deg+1),
-# which explodes on dense images; n <= 8 keeps the worst example tractable.
+# classify_flags has to exhaust a one-step stream bounded by prod(deg+1) on
+# both twins, which explodes on dense images; n <= 8 keeps the worst example
+# tractable.  min_image_nonsurjective prunes that stream by its bound, so the
+# twins agreeing is no oracle for it: the exhaustive fold below is.
 
 
 @settings(max_examples=40)
@@ -90,6 +92,71 @@ def test_one_step_kernels_parity_on_animals(core_twin):
                 if keep is None:
                     break
                 image = _induced_subimage(image, keep)
+
+
+def _exhaustive_min_image(n, rows):
+    """The least non-surjective image set over the whole unpruned stream."""
+    full = (1 << n) - 1
+    best = 0
+    for _, image, _ in _pure.one_step_maps(n, rows):
+        if image != full and (not best or _pure._image_less(image, best)):
+            best = image
+    return tuple(_pure._bits(best)) if best else None
+
+
+@pytest.fixture(scope="module")
+def min_image_cases():
+    """(n, rows, exhaustive answer) for every class with n <= 7 under a seeded
+    relabeling, and for every image along the reduction of seeded Eden
+    animals of 16..24 cells."""
+    rng = random.Random(0xB0B)
+    cases = []
+    for n in range(1, 8):
+        for c in enumerate_abstract_connected(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = list(permuted_rows(c.representative.rows, perm))
+            cases.append((n, rows, _exhaustive_min_image(n, rows)))
+    assert len(cases) == 996
+    for size in range(16, 25):
+        for _ in range(4):
+            image = lattice_to_image(LatticeImage(4, _eden_animal(rng, size)))
+            while True:
+                n, rows = image.n, list(image.rows)
+                keep = _exhaustive_min_image(n, rows)
+                cases.append((n, rows, keep))
+                if keep is None:
+                    break
+                image = _induced_subimage(image, keep)
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_min_image_bound_matches_exhaustive(backend, min_image_cases, request):
+    """The bounded search returns the exhaustive least image set, so every
+    reduction chain it drives is the unpruned one."""
+    kernels = _pure if backend == "pure" else request.getfixturevalue("core_twin")
+    for n, rows, expected in min_image_cases:
+        assert kernels.min_image_nonsurjective(n, list(rows)) == expected, rows
+
+
+def test_least_completion_is_least_image():
+    """``_pure._least_completion(P, R)`` is the least of every S with
+    P <= S <= P | R, in ascending tuple order, on all 7-bit P != 0 and R."""
+    for placed in range(1, 1 << 7):
+        for reach in range(1 << 7):
+            bound = _pure._least_completion(placed, reach)
+            free = reach & ~placed
+            completions = []
+            extra = free
+            while True:  # every subset of free, down to the empty one
+                completions.append(placed | extra)
+                if not extra:
+                    break
+                extra = (extra - 1) & free
+            for s in completions:
+                assert not _pure._image_less(s, bound), (placed, reach, s)
+            assert bound == min(completions, key=lambda s: tuple(_pure._bits(s)))
 
 
 def test_image_less_is_ascending_tuple_order():
