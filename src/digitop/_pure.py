@@ -18,7 +18,8 @@ as one mask; each map's image set as one mask and its fixed-point count), and
 hands each map to a per-kernel leaf.  Both walkers reject a disconnected
 graph, so callers need no connectivity check of their own.  Only the least
 image set prunes the walk, by an exact bound (:func:`_least_completion`);
-the classification flags and the map stream see every map.
+the classification flags and the map stream see every map.  The planarity
+test, :func:`_lr_planar`, has no compiled twin.
 """
 
 from __future__ import annotations
@@ -66,6 +67,181 @@ def _spans(rows: list[int], alive: int) -> bool:
         seen |= fresh
         frontier |= fresh
     return seen == alive
+
+
+def _lr_planar(n: int, rows) -> bool:
+    """Whether the graph is planar, by Brandes' left-right test (*The
+    Left-Right Planarity Test*, 2009), without building an embedding.
+
+    Phase 1 orients the graph by depth-first search, one root per component,
+    and gives each edge its lowpoint, second lowpoint and nesting depth.
+    Phase 2 walks each point's outgoing edges by nesting depth and keeps a
+    stack of conflict pairs of return-edge intervals; the graph is planar iff
+    no pair ever has to hold a conflict on both sides.  Edges are numbered
+    from 1 as they are oriented, and 0 stands for no edge, so a conflict
+    pair is a tuple ``(left_low, left_high, right_low, right_high)`` and an
+    interval is empty when both its ends are 0.
+    """
+    height = [-1] * n
+    parent = [0] * n  # the tree edge into each point; 0 at a root
+    todo = list(rows)  # per point, the neighbors whose edge is not oriented
+    out = [[] for _ in range(n)]  # per point, its outgoing edges
+    head = [0]  # per edge: target, lowpoint, second lowpoint, nesting depth
+    low = [0]
+    low2 = [0]
+    depth = [0]
+    roots = []
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            t = todo[v]
+            if t:
+                bit = t & -t
+                w = bit.bit_length() - 1
+                todo[v] = t ^ bit
+                todo[w] ^= 1 << v
+                f = len(head)
+                head.append(w)
+                out[v].append(f)
+                hv = height[v]
+                low2.append(hv)
+                depth.append(0)
+                if height[w] < 0:  # a tree edge: finish it when w is done
+                    low.append(hv)
+                    parent[w] = f
+                    height[w] = hv + 1
+                    stack.append(w)
+                    continue
+                low.append(height[w])  # a back edge, finished at once
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                f = parent[v]
+                v = stack[-1]
+                hv = height[v]
+            lf = low[f]
+            depth[f] = 2 * lf + (low2[f] < hv)
+            e = parent[v]
+            if e:
+                le = low[e]
+                if lf < le:
+                    low2[e] = min(le, low2[f])
+                    low[e] = lf
+                elif lf > le:
+                    low2[e] = min(low2[e], lf)
+                else:
+                    low2[e] = min(low2[e], low2[f])
+
+    for edges in out:
+        edges.sort(key=depth.__getitem__)
+    ref = [0] * len(head)
+    lowedge = [0] * len(head)
+    bottom = [0] * len(head)  # the stack height when each edge was entered
+    nxt = [0] * n  # per point, the index of its next outgoing edge
+    pairs = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            edges = out[v]
+            if i < len(edges):
+                f = edges[i]
+                bottom[f] = len(pairs)
+                if parent[head[f]] == f:
+                    stack.append(head[f])
+                    continue
+                lowedge[f] = f
+                pairs.append((0, 0, f, f))
+            else:
+                stack.pop()
+                e = parent[v]
+                if not e:
+                    continue
+                # Remove the back edges that return to u, the tail of e.
+                u = stack[-1]
+                hu = height[u]
+                while pairs:
+                    ll, lh, rl, rh = pairs[-1]
+                    if not (ll or lh):
+                        lowest = low[rl]
+                    elif not (rl or rh):
+                        lowest = low[ll]
+                    else:
+                        lowest = min(low[ll], low[rl])
+                    if lowest != hu:
+                        break
+                    pairs.pop()
+                if pairs:
+                    ll, lh, rl, rh = pairs.pop()
+                    while lh and head[lh] == u:
+                        lh = ref[lh]
+                    if not lh and ll:
+                        ref[ll] = rl
+                        ll = 0
+                    while rh and head[rh] == u:
+                        rh = ref[rh]
+                    if not rh and rl:
+                        ref[rl] = ll
+                        rl = 0
+                    pairs.append((ll, lh, rl, rh))
+                f = e
+                v = u
+                i = nxt[u]
+            nxt[v] = i + 1
+            lf = low[f]
+            if lf >= height[v]:
+                continue
+            e = parent[v]
+            if i == 0:
+                lowedge[e] = lowedge[f]
+                continue
+            # Add the constraints of f: its return edges go to the right...
+            le = low[e]
+            pll = plh = prl = prh = 0
+            while True:
+                ql, qh, rl, rh = pairs.pop()
+                if ql or qh:
+                    ql, qh, rl, rh = rl, rh, ql, qh
+                    if ql or qh:
+                        return False
+                if low[rl] > le:
+                    if prl or prh:
+                        ref[prl] = rh
+                    else:
+                        prh = rh
+                    prl = rl
+                else:
+                    ref[rl] = lowedge[e]
+                if len(pairs) == bottom[f]:
+                    break
+            # ...and those of earlier edges that conflict with f to the left.
+            while pairs:
+                ql, qh, rl, rh = pairs[-1]
+                if (rl or rh) and low[rh] > lf:
+                    ql, qh, rl, rh = rl, rh, ql, qh
+                    if (rl or rh) and low[rh] > lf:
+                        return False
+                elif not ((ql or qh) and low[qh] > lf):
+                    break
+                pairs.pop()
+                ref[prl] = rh
+                if rl:
+                    prl = rl
+                if pll or plh:
+                    ref[pll] = qh
+                else:
+                    plh = qh
+                pll = ql
+            if pll or plh or prl or prh:
+                pairs.append((pll, plh, prl, prh))
+    return True
 
 
 def _refine(n: int, rows: list[int], partition: list[list[int]]) -> list[list[int]]:

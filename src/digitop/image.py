@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from . import _kernels
-from ._pure import _bits, _spans
+from ._pure import _bits, _lr_planar, _spans
 
 GRAPH6_MAX_N = 62
 _G6_HEADER = ">>graph6<<"
@@ -263,9 +261,17 @@ def is_connected(image: DigitalImage) -> bool:
 
 
 def is_planar(image: DigitalImage) -> bool:
-    """Exact planarity of the adjacency graph."""
-    g = nx.Graph()
-    g.add_nodes_from(range(image.n))
-    g.add_edges_from(image.edges())
-    ok, _ = nx.check_planarity(g, counterexample=False)
-    return ok
+    """Exact planarity of the adjacency graph.
+
+    Two bounds decide first: fewer than 5 points or fewer than 9 edges is
+    planar (K5 and K3,3 need both), and more than 3n - 6 edges is not
+    (Euler's formula).  Every other graph goes to Brandes' left-right
+    planarity test on the adjacency rows, one depth-first root per component.
+    """
+    n = image.n
+    m = image.edge_count
+    if n < 5 or m < 9:
+        return True
+    if m > 3 * n - 6:
+        return False
+    return _lr_planar(n, image.rows)

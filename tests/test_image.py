@@ -1,21 +1,37 @@
 """Image types, validation, connectivity, and planarity.
 
-Planarity goes through an independent oracle here: a graph is planar iff it
-has no complete-5 or complete-3-3 minor, and minors are found by breadth
--first search over all edge contractions with a subgraph check at each
-stage (contracting the branch sets of any minor exposes it as a subgraph).
+Planarity goes through two independent oracles here.  One is a minor
+search: a graph is planar iff it has no complete-5 or complete-3-3 minor,
+and minors are found by breadth-first search over all edge contractions with
+a subgraph check at each stage (contracting the branch sets of any minor
+exposes it as a subgraph).  The other is networkx's ``check_planarity``.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
-from digitop import DigitalImage, LatticeImage, is_connected, is_planar, lattice_to_image
-from digitop._pure import canonical_rows
+from digitop import (
+    DigitalImage,
+    LatticeImage,
+    enumerate_abstract_connected,
+    is_connected,
+    is_planar,
+    lattice_to_image,
+)
+from digitop._pure import _lr_planar, canonical_rows
 
-from .conftest import all_labeled_connected, flood_connected, random_connected_rows
+from .conftest import (
+    all_labeled_connected,
+    flood_connected,
+    random_connected_rows,
+    subprocess_env,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +221,103 @@ def test_known_planarity_facts():
     assert not is_planar(k33)
     k4 = DigitalImage.from_edges(4, list(combinations(range(4), 2)))
     assert is_planar(k4)
+
+
+def _planar_by_networkx(image: DigitalImage) -> bool:
+    g = nx.Graph()
+    g.add_nodes_from(range(image.n))
+    g.add_edges_from(image.edges())
+    return nx.check_planarity(g, counterexample=False)[0]
+
+
+def test_planarity_matches_networkx_on_every_class_to_8():
+    # The left-right test is also run without the bounds, on every class.
+    for n in range(1, 9):
+        for cls in enumerate_abstract_connected(n):
+            image = cls.representative
+            expected = _planar_by_networkx(image)
+            assert is_planar(image) == expected, cls.canonical.code
+            assert _lr_planar(n, image.rows) == expected, cls.canonical.code
+
+
+def test_planarity_matches_networkx_on_random_graphs(rng):
+    # Edge counts from none to three past 3n - 6, connected or not.
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        pairs = list(combinations(range(n), 2))
+        m = rng.randint(0, min(len(pairs), max(0, 3 * n - 6) + 3))
+        image = DigitalImage.from_edges(n, rng.sample(pairs, m))
+        expected = _planar_by_networkx(image)
+        assert is_planar(image) == expected, image.rows
+        assert _lr_planar(n, image.rows) == expected, image.rows
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return DigitalImage.from_edges(10, outer + spokes + inner)
+
+
+def _icosahedron():
+    # Apex 0, rings 1..5 and 6..10, apex 11; each ring point meets two below.
+    edges = []
+    for i in range(5):
+        a, b = 1 + i, 1 + (i + 1) % 5
+        c, d = 6 + i, 6 + (i + 1) % 5
+        edges += [(0, a), (a, b), (a, c), (a, d), (c, d), (c, 11)]
+    return DigitalImage.from_edges(12, edges)
+
+
+def _subdivided_k33():
+    edges = []
+    for k, (a, b) in enumerate((a, b) for a in (0, 1, 2) for b in (3, 4, 5)):
+        edges += [(a, 6 + k), (6 + k, b)]
+    return DigitalImage.from_edges(15, edges)
+
+
+def _k5_and_isolated_points():
+    return DigitalImage.from_edges(8, list(combinations(range(5), 2)))
+
+
+def _forest():
+    # A path on 0..6 with a branch at 3, and a star centred at 8.
+    path = [(i, i + 1) for i in range(6)] + [(3, 7)]
+    star = [(8, j) for j in range(9, 14)]
+    return DigitalImage.from_edges(14, path + star)
+
+
+@pytest.mark.parametrize(
+    "build, planar, bounded",
+    [
+        (_petersen, False, False),
+        (_icosahedron, True, False),
+        (_subdivided_k33, False, False),
+        (_k5_and_isolated_points, False, False),
+        (lambda: DigitalImage(1, (0,)), True, True),
+        (_forest, True, False),
+    ],
+    ids=["petersen", "icosahedron", "subdivided-k33", "k5-and-isolated", "point", "forest"],
+)
+def test_planarity_edge_cases(build, planar, bounded, rng):
+    image = build()
+    n, m = image.n, image.edge_count
+    # "bounded" cases are decided before the left-right test is reached.
+    assert (n < 5 or m < 9 or m > 3 * n - 6) == bounded
+    for _ in range(5):
+        assert is_planar(image) == planar
+        assert _lr_planar(n, image.rows) == planar
+        image = image.relabeled(rng.sample(range(n), n))
+
+
+def test_import_does_not_load_networkx():
+    probe = "import sys, digitop, digitop.catalog; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
