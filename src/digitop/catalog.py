@@ -4,11 +4,12 @@ A catalog is a directory of CSV files, one per (family, n), each row one
 isomorphism class with its classification flags, planarity, cycle flag, and
 (for the lattice families) a witness cell set.  Files are written atomically
 and sorted by canonical code, so runs with any shard count produce
-byte-identical output.  An existing file is checked (rows name its family
-and n, codes strictly ascend) and kept, so builds resume per n.  Abstract
-levels grow from the level below; lattice levels stand alone.  A shard
-slice is a catalog CSV under ``shards/``, classified by the run that writes
-it; the merge folds the slices by least witness without classifying again.
+byte-identical output.  An existing file is checked (its rows parse and name
+its family and n, codes strictly ascend) and kept, so builds resume per n.
+Abstract levels grow from the level below; lattice levels stand alone.  A
+level is built as slices, each grown and classified on its own (in one
+worker pool per build) and folded by least witness.  A shard run writes one
+slice under ``shards/``; the merge folds them without classifying again.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import itertools
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -46,8 +49,7 @@ CSV_HEADER = (
     "is_cycle",
     "witness_cells",
 )
-
-_PARALLEL_THRESHOLD = 256  # below this, process fan-out costs more than it saves
+_FLAGS = {"0": False, "1": True}
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class CatalogEntry:
             raise ValueError("a rigid image cannot be reducible")
         if (self.witness is None) != (self.family == "abstract"):
             raise ValueError("lattice entries carry a witness; abstract entries do not")
+        if self.witness is not None and len(self.witness.cells) != self.n:
+            raise ValueError(f"witness has {len(self.witness.cells)} cells, expected {self.n}")
 
     @property
     def irreducible(self) -> bool:
@@ -150,23 +154,22 @@ def read_catalog_csv(path: Path) -> list[CatalogEntry]:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected catalog header {header!r}")
         entries = []
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            family, n, code, red, pointed, rigid, planar, cycle, cells = row
-            entries.append(
-                CatalogEntry(
-                    family=family,
-                    n=int(n),
-                    canonical=code,
-                    reducible=bool(int(red)),
-                    pointed_reducible=bool(int(pointed)),
-                    rigid=bool(int(rigid)),
-                    planar=bool(int(planar)),
-                    is_cycle=bool(int(cycle)),
-                    witness=CellSet.parse(cells) if cells else None,
+        for number, row in enumerate(reader, start=1):
+            try:
+                family, n, code, red, pointed, rigid, planar, cycle, cells = row
+                entries.append(
+                    CatalogEntry(
+                        family,
+                        int(n),
+                        code,
+                        _FLAGS[red], _FLAGS[pointed], _FLAGS[rigid], _FLAGS[planar], _FLAGS[cycle],
+                        CellSet.parse(cells) if cells else None,
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}: row {number}: flags must be 0 or 1, got {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {number}: {exc}") from None
     return entries
 
 
@@ -183,21 +186,18 @@ def _classify_one(code: str) -> tuple[bool, bool, bool, bool, bool]:
 
 
 def worker_count() -> int:
-    env = os.environ.get("DIGITOP_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError("DIGITOP_THREADS must be a positive integer")
-        return count
-    return os.cpu_count() or 1
+    """Worker processes for a build, ``DIGITOP_THREADS`` (default: CPU count);
+    also the number of slices a plain build splits each level into."""
+    count = int(os.environ.get("DIGITOP_THREADS") or os.cpu_count() or 1)
+    if count < 1:
+        raise ValueError("DIGITOP_THREADS must be a positive integer")
+    return count
 
 
 def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool]]:
-    workers = worker_count()
-    if workers > 1 and len(codes) >= _PARALLEL_THRESHOLD:
-        chunk = max(16, len(codes) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_classify_one, codes, chunksize=chunk))
+    """The flags of each code, in one process: a build runs whole slices in
+    parallel instead.  Kept under this name as the seam where a level's
+    classification can be timed or replaced on its own."""
     return [_classify_one(code) for code in codes]
 
 
@@ -221,30 +221,6 @@ def _grow(
     return abstract_children(below, selector)
 
 
-def _classified_entries(family: str, n: int, generators: list) -> list[CatalogEntry]:
-    if family == "abstract":
-        items = [(code, None) for code in generators]
-    else:
-        items = mask_classes(_KINDS[family], generators)
-    flags = _classify_codes([code for code, _ in items])
-    entries = []
-    for (code, witness), (reducible, pointed, rigid, planar, cycle) in zip(items, flags):
-        entries.append(
-            CatalogEntry(
-                family=family,
-                n=n,
-                canonical=code,
-                reducible=reducible,
-                pointed_reducible=pointed,
-                rigid=rigid,
-                planar=planar,
-                is_cycle=cycle,
-                witness=None if witness is None else CellSet(frozenset(witness)),
-            )
-        )
-    return entries
-
-
 def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
     """A level or slice CSV, checked: every row is (family, n), and the
     codes strictly ascend."""
@@ -259,16 +235,30 @@ def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
     return entries
 
 
-def _merged_entries(paths: list[Path], family: str, n: int) -> list[CatalogEntry]:
+def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[CatalogEntry]:
+    """Slice ``index`` of k of level n, grown and classified: what a shard
+    run writes.  Module-level so that a worker process can run it."""
+    generators = _grow(family, n, below, lambda i: i % k == index)
+    if family == "abstract":
+        items = [(code, None) for code in generators]
+    else:
+        items = mask_classes(_KINDS[family], generators)
+    flags = _classify_codes([code for code, _ in items])
+    return [
+        CatalogEntry(family, n, code, *flag, None if cells is None else CellSet(frozenset(cells)))
+        for (code, cells), flag in zip(items, flags)
+    ]
+
+
+def _merged_entries(parts: Iterable[list[CatalogEntry]]) -> list[CatalogEntry]:
     """The classified slices folded into one level: least witness per code."""
-    slices = itertools.chain.from_iterable(_read_level(path, family, n) for path in paths)
     items = least_witness_items(
         (
             entry.canonical,
             None if entry.witness is None else tuple(entry.witness.sorted_cells()),
             entry,
         )
-        for entry in slices
+        for entry in itertools.chain.from_iterable(parts)
     )
     return [entry for _, _, entry in items]
 
@@ -285,13 +275,14 @@ def build_catalog(
     """Enumerate, classify, and persist levels 1..n_max of one family.
 
     Plain mode (shard = None, shards = 1) writes one CSV per n, keeping
-    levels whose file already exists.  A shard run (shard = i) classifies
-    only its slice of the final level, writes it as a catalog CSV under
-    ``shards/``, and returns no entries; missing abstract levels below it
-    are grown in memory, and lattice levels need no lower level.  A merge
-    run (shards = k, shard = None) builds any missing slices itself and
-    folds them into the same CSVs a plain run would write, without
-    classifying again.
+    levels whose file already exists; each level is ``worker_count()``
+    slices held in memory.  A shard run (shard = i) classifies only its
+    slice of the final level, writes it as a catalog CSV under ``shards/``,
+    and returns no entries; missing abstract levels below it are grown in
+    memory, and lattice levels need no lower level.  A merge run (shards =
+    k, shard = None) builds any missing slices itself and folds them into
+    the same CSVs a plain run would write, without classifying again.  The
+    worker pool starts only when two or more slices are due at once.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -309,43 +300,51 @@ def build_catalog(
     collected: list[CatalogEntry] = []
     below: list[str] = []  # level n - 1's class codes, which abstract levels grow from
     first = 1 if family == "abstract" or shard is None else n_max
-    for n in range(first, n_max + 1):
-        path = catalog_path(out_dir, family, n)
-        sliced = n == n_max and (shards > 1 or shard is not None)
-        if path.exists() and (shard is None or n < n_max):
-            entries = _read_level(path, family, n)
-            if shard is None:
-                say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
-                collected.extend(entries)
-            below = [entry.canonical for entry in entries]
-            continue
-
-        if not sliced:
-            if shard is not None:
+    with ExitStack() as stack:
+        pool = None
+        for n in range(first, n_max + 1):
+            path = catalog_path(out_dir, family, n)
+            if path.exists() and (shard is None or n < n_max):
+                entries = _read_level(path, family, n)
+                if shard is None:
+                    say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
+                    collected.extend(entries)
+                below = [entry.canonical for entry in entries]
+                continue
+            if shard is not None and n < n_max:
                 below = _grow(family, n, below)
                 continue
-            say(f"{family} n={n}: classifying")
-            entries = _classified_entries(family, n, _grow(family, n, below))
-        else:
+
+            sliced = n == n_max and (shards > 1 or shard is not None)
+            k = shards if sliced else worker_count()
             slice_paths = [
-                out_dir / "shards" / f"{family}_n{n:02d}.shard{index}of{shards}.csv"
-                for index in range(shards)
+                out_dir / "shards" / f"{family}_n{n:02d}.shard{index}of{k}.csv"
+                for index in range(k)
             ]
-            for index in range(shards) if shard is None else (shard,):
-                if slice_paths[index].exists():
-                    continue
-                generators = _grow(family, n, below, lambda i, index=index: i % shards == index)
-                part = _classified_entries(family, n, generators)
-                write_catalog_csv(slice_paths[index], part)
-                say(f"{family} n={n}: wrote shard {index} of {shards} ({len(part)} classes)")
+            wanted = range(k) if shard is None else (shard,)
+            missing = [i for i in wanted if not (sliced and slice_paths[i].exists())]
+            say(f"{family} n={n}: classifying {len(missing)} of {k} slices")
+            compute = partial(_slice, family, n, below if family == "abstract" else [], k)
+            run = map
+            if len(missing) > 1 and worker_count() > 1:
+                pool = pool or stack.enter_context(ProcessPoolExecutor(max_workers=worker_count()))
+                run = pool.map
+            computed = dict(zip(missing, run(compute, missing)))
+            if sliced:
+                for index, part in computed.items():
+                    write_catalog_csv(slice_paths[index], part)
+                    say(f"{family} n={n}: wrote shard {index} of {k} ({len(part)} classes)")
             if shard is not None:
                 return []
-            entries = _merged_entries(slice_paths, family, n)
 
-        write_catalog_csv(path, entries)
-        say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
-        collected.extend(entries)
-        below = [entry.canonical for entry in entries]
+            entries = _merged_entries(
+                computed[index] if index in computed else _read_level(slice_paths[index], family, n)
+                for index in range(k)
+            )
+            write_catalog_csv(path, entries)
+            say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
+            collected.extend(entries)
+            below = [entry.canonical for entry in entries]
     return collected
 
 

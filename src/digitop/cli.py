@@ -74,8 +74,6 @@ def _classification_text(result: Classification) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.shards < 1:
-        raise ValueError("--shards must be at least 1")
     if args.shard is not None and args.shards == 1:
         raise ValueError("--shard requires --shards greater than 1")
     build_catalog(

@@ -20,6 +20,11 @@ from hypothesis import HealthCheck, settings
 
 import digitop
 
+# A build splits each level into DIGITOP_THREADS slices and starts that many
+# workers, by default one per CPU; pin it so that the suite starts pools of
+# the same small size on any machine.  Tests that need another count set it.
+os.environ.setdefault("DIGITOP_THREADS", "2")
+
 settings.register_profile(
     "digitop",
     deadline=None,

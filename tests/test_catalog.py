@@ -1,5 +1,6 @@
 """Catalog CSVs, deterministic builds, report tables, and the scanner."""
 
+import csv
 import dataclasses
 import os
 
@@ -239,6 +240,16 @@ def test_merge_with_every_slice_on_disk_grows_nothing(tmp_path, monkeypatch):
     assert top.read_bytes() == catalog_path(plain_dir, "adj8", 5).read_bytes()
 
 
+def _overwrite_field(path, row, column, text):
+    """Set one field of a catalog CSV's data row (1-based), bypassing the
+    checks that ``write_catalog_csv`` gets from ``CatalogEntry``."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row][CSV_HEADER.index(column)] = text
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
 def test_resume_and_merge_check_their_files(tmp_path):
     build_catalog(tmp_path, "abstract", 4)
     path = catalog_path(tmp_path, "abstract", 4)
@@ -251,6 +262,15 @@ def test_resume_and_merge_check_their_files(tmp_path):
     write_catalog_csv(path, relabeled)
     with pytest.raises(ValueError, match="abstract_n04.csv"):
         build_catalog(tmp_path, "abstract", 4)
+
+    write_catalog_csv(path, good)
+    _overwrite_field(path, 2, "reducible", "7")
+    with pytest.raises(ValueError, match=r"abstract_n04\.csv: row 2: flags must be 0 or 1"):
+        build_catalog(tmp_path, "abstract", 4)
+    build_catalog(tmp_path, "adj4", 4)
+    _overwrite_field(catalog_path(tmp_path, "adj4", 4), 1, "witness_cells", "0,0;1,0")
+    with pytest.raises(ValueError, match=r"adj4_n04\.csv: row 1: witness has 2 cells"):
+        build_catalog(tmp_path, "adj4", 4)
 
     os.unlink(path)
     build_catalog(tmp_path, "abstract", 4, shards=2)
@@ -423,3 +443,53 @@ def test_serial_build_with_one_thread(monkeypatch, tmp_path):
     monkeypatch.setenv("DIGITOP_THREADS", "1")
     entries = build_catalog(tmp_path, "abstract", 4)
     assert len(entries) == 10
+
+
+_WORKER_LEVELS = (("abstract", 7), ("adj4", 8), ("adj8", 6))
+
+
+def _catalog_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
+
+
+def test_builds_are_byte_identical_across_worker_counts(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(catalog.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            assert max_workers <= 3
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", CountedPool)
+    built = {}
+    for threads in ("1", "3"):
+        monkeypatch.setenv("DIGITOP_THREADS", threads)
+        for family, n_max in _WORKER_LEVELS:
+            build_catalog(tmp_path / threads, family, n_max)
+        built[threads] = _catalog_bytes(tmp_path / threads)
+    assert pools == [3, 3, 3]  # one pool per build, none at one worker
+    assert len(built["1"]) == 21 and built["3"] == built["1"]
+
+    # A merge with no slice on disk computes its three slices in the pool.
+    monkeypatch.setenv("DIGITOP_THREADS", "2")
+    for family, n_max in _WORKER_LEVELS:
+        build_catalog(tmp_path / "merged", family, n_max, shards=3)
+    assert pools == [3, 3, 3, 2, 2, 2]
+    assert _catalog_bytes(tmp_path / "merged") == built["1"]
+    assert len(list((tmp_path / "merged" / "shards").glob("*.csv"))) == 9
+
+
+def test_no_process_starts_when_none_is_needed(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("DIGITOP_THREADS", "1")
+    assert len(build_catalog(tmp_path, "abstract", 5)) == 31
+    assert len(build_catalog(tmp_path, "adj4", 6, shards=3)) == 20
+
+    monkeypatch.setenv("DIGITOP_THREADS", "2")
+    assert len(build_catalog(tmp_path, "abstract", 5)) == 31
+    os.unlink(catalog_path(tmp_path, "adj4", 6))
+    assert len(build_catalog(tmp_path, "adj4", 6, shards=3)) == 20

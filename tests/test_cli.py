@@ -69,6 +69,8 @@ def test_enumerate_option_validation(tmp_path, capsys):
     assert main(["enumerate", "--family", "abstract", "--n", "3", "--out", out,
                  "--shard", "0"]) == 1
     assert main(["enumerate", "--family", "abstract", "--n", "0", "--out", out]) == 1
+    assert main(["enumerate", "--family", "abstract", "--n", "3", "--out", out,
+                 "--shards", "0"]) == 1
 
 
 def test_classify_g6_file(tmp_path, capsys):
