@@ -8,7 +8,9 @@ Adjacency is represented as a sequence of integer bitmasks: bit ``v`` of
 must produce identical outputs: the canonical key is defined as the
 lexicographically least adjacency bit string over the refinement search
 leaves, and both backends implement the identical refinement, so the selected
-canonical labeling is backend independent.
+canonical labeling is backend independent.  The pure labeler builds each
+point's neighbor list once per call; the refinement and the relabeling read
+those lists.
 
 The one-step maps are walked in one place, :func:`one_step_maps`; the
 classification flags, the least image set and the map stream of
@@ -244,13 +246,13 @@ def _lr_planar(n: int, rows) -> bool:
     return True
 
 
-def _refine(n: int, rows: list[int], partition: list[list[int]]) -> list[list[int]]:
+def _refine(n: int, adj: list[list[int]], partition: list[list[int]]) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
     Cells are repeatedly split by the multiset of neighbor colors (a vertex's
-    color is the index of its cell); sub-cells are ordered by signature, so
-    the refined partition depends only on the isomorphism type, never on the
-    labeling.
+    color is the index of its cell; ``adj[v]`` lists v's neighbors); sub-cells
+    are ordered by signature, so the refined partition depends only on the
+    isomorphism type, never on the labeling.
     """
     part = partition
     while True:
@@ -258,6 +260,7 @@ def _refine(n: int, rows: list[int], partition: list[list[int]]) -> list[list[in
         for idx, cell in enumerate(part):
             for v in cell:
                 color[v] = idx
+        colors = color.__getitem__
         new_part: list[list[int]] = []
         changed = False
         for cell in part:
@@ -266,7 +269,7 @@ def _refine(n: int, rows: list[int], partition: list[list[int]]) -> list[list[in
                 continue
             groups: dict[bytes, list[int]] = {}
             for v in cell:
-                sig = bytes(sorted(color[u] for u in _bits(rows[v])))
+                sig = bytes(sorted(map(colors, adj[v])))
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_part.append(cell)
@@ -305,32 +308,27 @@ def _is_twin_cell(rows: list[int], cell: list[int]) -> bool:
     return False
 
 
-def _leaf_key(n: int, rows: list[int], order: list[int]) -> tuple[int, ...]:
-    """Row-major adjacency bit string of the graph relabeled by ``order``.
-
-    ``order[j]`` is the vertex receiving new label ``j``.  Row ``j`` packs
-    bits left to right (bit for new label 0 is the most significant), so
-    tuple comparison is lexicographic comparison of the bit string.
-    """
-    position = [0] * n
-    for j, v in enumerate(order):
-        position[v] = j
-    key = []
-    for v in order:
-        r = 0
-        for u in _bits(rows[v]):
-            r |= 1 << (n - 1 - position[u])
-        key.append(r)
-    return tuple(key)
+def _relabeled(adj: list[list[int]], order: list[int], shifts) -> tuple[int, ...]:
+    """The rows of the graph relabeled by ``order``: ``order[j]`` is the
+    vertex receiving new label ``j``, and bit ``shifts[j]`` of a row marks
+    new label ``j``."""
+    weight = [0] * len(order)
+    for v, shift in zip(order, shifts):
+        weight[v] = 1 << shift
+    weights = weight.__getitem__
+    return tuple([sum(map(weights, adj[v])) for v in order])
 
 
-def _canonical_order(n: int, rows: list[int]) -> list[int]:
+def _canonical_order(n: int, rows: list[int], adj: list[list[int]]) -> list[int]:
     best_key: tuple[int, ...] | None = None
     best_order: list[int] | None = None
+    # A leaf's key packs each row left to right (new label 0 is the most
+    # significant bit), so tuple comparison compares the bit strings.
+    key_shifts = range(n - 1, -1, -1)
 
     def search(partition: list[list[int]]) -> None:
         nonlocal best_key, best_order
-        part = _refine(n, rows, partition)
+        part = _refine(n, adj, partition)
         target = -1
         for idx, cell in enumerate(part):
             if len(cell) > 1:
@@ -338,7 +336,7 @@ def _canonical_order(n: int, rows: list[int]) -> list[int]:
                 break
         if target < 0:
             order = [cell[0] for cell in part]
-            key = _leaf_key(n, rows, order)
+            key = _relabeled(adj, order, key_shifts)
             if best_key is None or key < best_key:
                 best_key = key
                 best_order = order
@@ -364,21 +362,13 @@ def canonical_rows(n: int, rows: list[int], /) -> tuple[int, ...]:
     Complete isomorphism invariant: two inputs yield equal tuples iff they
     are isomorphic.  Individualization-refinement search over an equitable
     partition, taking the minimum adjacency bit string over all leaves.
+    Each point's neighbor list is built once per call.
     """
     _check_size(n, rows)
     if n == 1:
         return (0,)
-    order = _canonical_order(n, rows)
-    position = [0] * n
-    for j, v in enumerate(order):
-        position[v] = j
-    out = [0] * n
-    for j, v in enumerate(order):
-        r = 0
-        for u in _bits(rows[v]):
-            r |= 1 << position[u]
-        out[j] = r
-    return tuple(out)
+    adj = [[u for u in range(n) if rows[v] >> u & 1] for v in range(n)]
+    return _relabeled(adj, _canonical_order(n, rows, adj), range(n))
 
 
 def one_step_maps(

@@ -18,7 +18,6 @@ import csv
 import itertools
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -238,7 +237,7 @@ def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
 def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[CatalogEntry]:
     """Slice ``index`` of k of level n, grown and classified: what a shard
     run writes.  Module-level so that a worker process can run it."""
-    generators = _grow(family, n, below, lambda i: i % k == index)
+    generators = _grow(family, n, below, None if k == 1 else lambda i: i % k == index)
     if family == "abstract":
         items = [(code, None) for code in generators]
     else:
@@ -327,6 +326,8 @@ def build_catalog(
             compute = partial(_slice, family, n, below if family == "abstract" else [], k)
             run = map
             if len(missing) > 1 and worker_count() > 1:
+                from concurrent.futures import ProcessPoolExecutor  # only where a pool starts
+
                 pool = pool or stack.enter_context(ProcessPoolExecutor(max_workers=worker_count()))
                 run = pool.map
             computed = dict(zip(missing, run(compute, missing)))

@@ -285,17 +285,6 @@ def _least_in_orbit(mask: int, cells: list[Cell]) -> bool:
     return True
 
 
-def _mask_item(kind: int, mask: int) -> tuple[str, tuple[Cell, ...]] | None:
-    """A mask's (code, cells in (x, y) order), or None when it is not the
-    least of its D4 orbit."""
-    cells = _mask_cells(mask)
-    if not _least_in_orbit(mask, cells):
-        return None
-    rows = _kernels.lattice_rows(kind, cells)
-    canon = _kernels.canonical_rows(len(cells), rows)
-    return _encode_rows(len(cells), canon), tuple(cells)
-
-
 def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
     """Canonicalize cell-set masks: sorted (code, least witness) per class.
 
@@ -304,10 +293,24 @@ def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
     class is a union of whole orbits, and its least witness is the least
     member of its own orbit: the witnesses are those of labeling every mask.
     In a shard slice, each orbit's least member falls in exactly one slice,
-    so the least-witness merge still sees every class.
+    so the least-witness merge still sees every class.  Distinct sets often
+    induce the same adjacency rows, so each distinct row tuple is labeled
+    once per call.
     """
-    items = (_mask_item(kind, mask) for mask in masks)
-    return least_witness_items(item for item in items if item is not None)
+    def items() -> Iterator[Item]:
+        codes: dict[tuple[int, ...], str] = {}
+        for mask in masks:
+            cells = _mask_cells(mask)
+            if not _least_in_orbit(mask, cells):
+                continue
+            rows = tuple(_kernels.lattice_rows(kind, cells))
+            code = codes.get(rows)
+            if code is None:
+                n = len(cells)
+                code = codes[rows] = _encode_rows(n, _kernels.canonical_rows(n, rows))
+            yield code, tuple(cells)
+
+    return least_witness_items(items())
 
 
 # ---------------------------------------------------------------------------

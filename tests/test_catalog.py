@@ -1,8 +1,11 @@
 """Catalog CSVs, deterministic builds, report tables, and the scanner."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,8 @@ from digitop.catalog import (
 from digitop.enumerator import CellSet
 from digitop.image import LatticeImage, canonical_form, lattice_to_image
 from digitop.lattice import cycle_image
+
+from .conftest import subprocess_env
 
 
 def _abstract_entry(code, n, **flags):
@@ -455,13 +460,13 @@ def _catalog_bytes(directory):
 def test_builds_are_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     pools = []
 
-    class CountedPool(catalog.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             assert max_workers <= 3
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(catalog, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     built = {}
     for threads in ("1", "3"):
         monkeypatch.setenv("DIGITOP_THREADS", threads)
@@ -480,11 +485,25 @@ def test_builds_are_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     assert len(list((tmp_path / "merged" / "shards").glob("*.csv"))) == 9
 
 
+def test_import_loads_no_worker_pool_machinery():
+    """``import digitop`` leaves the pool modules to the first build that
+    starts a pool."""
+    probe = (
+        "import sys, digitop\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_no_process_starts_when_none_is_needed(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("DIGITOP_THREADS", "1")
     assert len(build_catalog(tmp_path, "abstract", 5)) == 31
     assert len(build_catalog(tmp_path, "adj4", 6, shards=3)) == 20

@@ -290,21 +290,26 @@ def test_mask_classes_match_unfiltered(kind, top):
 
 
 def test_mask_classes_label_one_set_per_orbit(monkeypatch):
-    """Only the least set of each D4 orbit is labeled: one labeling per free
-    polyomino (OEIS A000105) and per free polyking (A030222)."""
-    labelings = 0
-    label = _kernels.canonical_rows
+    """Only the least set of each D4 orbit gets its rows built: one per free
+    polyomino (OEIS A000105) and per free polyking (A030222).  Of those, each
+    distinct row tuple is labeled once."""
+    calls = {"lattice_rows": 0, "canonical_rows": 0}
 
-    def counted(n, rows):
-        nonlocal labelings
-        labelings += 1
-        return label(n, rows)
+    def counted(name):
+        kernel = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "canonical_rows", counted)
-    for kind, n, free in ((4, 8, 369), (8, 6, 524)):
-        labelings = 0
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counted(name))
+    for kind, n, free, distinct in ((4, 8, 369, 220), (8, 6, 524, 231)):
+        calls.update(lattice_rows=0, canonical_rows=0)
         mask_classes(kind, grow_masks(kind, n))
-        assert labelings == free
+        assert calls == {"lattice_rows": free, "canonical_rows": distinct}
 
 
 def test_straight_and_bent_triominoes_coincide():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitop import _kernels, _pure
-from digitop.enumerator import enumerate_abstract_connected
+from digitop import _kernels, _pure, enumerator
+from digitop.enumerator import abstract_children, enumerate_abstract_connected, grow_masks
 from digitop.homotopy import _induced_subimage
 from digitop.image import LatticeImage, lattice_to_image
 
@@ -31,6 +31,34 @@ def test_backend_value():
 def test_canonical_rows_parity(core_twin, n, rand):
     rows = list(random_connected_rows(rand, n))
     assert core_twin.canonical_rows(n, list(rows)) == _pure.canonical_rows(n, list(rows))
+
+
+def test_canonical_rows_parity_on_build_inputs(core_twin, monkeypatch):
+    """Both labelers return the same tuple on every graph the builds label:
+    each child that abstract generation labels up to n = 7, and the rows of
+    each orbit-least cell set of adj4 n <= 9 and adj8 n <= 6."""
+    graphs = []
+    label = _kernels.canonical_rows
+
+    def recorded(n, rows):
+        graphs.append((n, list(rows)))
+        return label(n, rows)
+
+    monkeypatch.setattr(_kernels, "canonical_rows", recorded)
+    codes = ["@"]
+    for _ in range(2, 8):
+        codes = abstract_children(codes)
+    assert (len(codes), len(graphs)) == (853, 2101)
+    monkeypatch.undo()
+    for kind, top in ((4, 9), (8, 6)):
+        for n in range(1, top + 1):
+            for mask in grow_masks(kind, n):
+                cells = enumerator._mask_cells(mask)
+                if enumerator._least_in_orbit(mask, cells):
+                    graphs.append((n, _pure.lattice_rows(kind, cells)))
+    assert len(graphs) == 2101 + 1818 + 648  # and the free polyominoes and polykings
+    for n, rows in graphs:
+        assert core_twin.canonical_rows(n, rows) == _pure.canonical_rows(n, rows), rows
 
 
 # classify_flags has to exhaust a one-step stream bounded by prod(deg+1) on
