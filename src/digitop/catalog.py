@@ -5,11 +5,14 @@ isomorphism class with its classification flags, planarity, cycle flag, and
 (for the lattice families) a witness cell set.  Files are written atomically
 and sorted by canonical code, so runs with any shard count produce
 byte-identical output.  An existing file is checked (its rows parse and name
-its family and n, codes strictly ascend) and kept, so builds resume per n.
-Abstract levels grow from the level below; lattice levels stand alone.  A
-level is built as slices, each grown and classified on its own (in one
-worker pool per build) and folded by least witness.  A shard run writes one
-slice under ``shards/``; the merge folds them without classifying again.
+its family and n, its codes are on n points and strictly ascend, and a level
+has at least one row) and kept, so builds resume per n.  Abstract levels
+grow from the level below; lattice levels stand alone.  A level is built as
+k slices, each grown and classified on its own (in one worker pool per
+build) and folded by least witness: slice i of k grows from every k-th
+parent code, or keeps every k-th cell set in search order, starting at the
+i-th.  A shard run writes one slice under ``shards/``; the merge folds them
+without classifying again.
 """
 
 from __future__ import annotations
@@ -187,9 +190,13 @@ def _classify_one(code: str) -> tuple[bool, bool, bool, bool, bool]:
 def worker_count() -> int:
     """Worker processes for a build, ``DIGITOP_THREADS`` (default: CPU count);
     also the number of slices a plain build splits each level into."""
-    count = int(os.environ.get("DIGITOP_THREADS") or os.cpu_count() or 1)
+    text = os.environ.get("DIGITOP_THREADS")
+    try:
+        count = int(text) if text else os.cpu_count() or 1
+    except ValueError:
+        count = 0
     if count < 1:
-        raise ValueError("DIGITOP_THREADS must be a positive integer")
+        raise ValueError(f"DIGITOP_THREADS must be a positive integer, got {text!r}")
     return count
 
 
@@ -207,28 +214,19 @@ def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool
 _KINDS = {"adj4": 4, "adj8": 8}
 
 
-def _grow(
-    family: str, n: int, below: list[str], selector: Callable[[int], bool] | None = None
-) -> list:
-    """Level n's generators: abstract class codes grown from level n - 1's
-    codes ``below``, or every fixed n-cell set as a mask.  ``selector`` picks
-    one shard slice (abstract parents, or cell sets by search order)."""
-    if family != "abstract":
-        return grow_masks(_KINDS[family], n, selector)
-    if n == 1:
-        return [_ONE_POINT_CODE] if selector is None or selector(0) else []
-    return abstract_children(below, selector)
-
-
 def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
-    """A level or slice CSV, checked: every row is (family, n), and the
-    codes strictly ascend."""
+    """A level or slice CSV, checked: every row is (family, n), its code
+    encodes n points (graph6's first byte is n + 63), and the codes
+    strictly ascend."""
     entries = read_catalog_csv(path)
+    size = chr(n + 63)
     for row, entry in enumerate(entries, start=1):
         if (entry.family, entry.n) != (family, n):
             raise ValueError(
                 f"{path}: row {row} is {entry.family} n={entry.n}, expected {family} n={n}"
             )
+        if entry.canonical[:1] != size:
+            raise ValueError(f"{path}: row {row}: code {entry.canonical!r} is not on {n} points")
         if row > 1 and entry.canonical <= entries[row - 2].canonical:
             raise ValueError(f"{path}: codes do not strictly ascend at row {row}")
     return entries
@@ -237,11 +235,11 @@ def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
 def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[CatalogEntry]:
     """Slice ``index`` of k of level n, grown and classified: what a shard
     run writes.  Module-level so that a worker process can run it."""
-    generators = _grow(family, n, below, None if k == 1 else lambda i: i % k == index)
     if family == "abstract":
-        items = [(code, None) for code in generators]
+        codes = abstract_children(below[index::k]) if n > 1 else [_ONE_POINT_CODE][index::k]
+        items = [(code, None) for code in codes]
     else:
-        items = mask_classes(_KINDS[family], generators)
+        items = mask_classes(_KINDS[family], grow_masks(_KINDS[family], n, k, index))
     flags = _classify_codes([code for code, _ in items])
     return [
         CatalogEntry(family, n, code, *flag, None if cells is None else CellSet(frozenset(cells)))
@@ -305,13 +303,15 @@ def build_catalog(
             path = catalog_path(out_dir, family, n)
             if path.exists() and (shard is None or n < n_max):
                 entries = _read_level(path, family, n)
+                if not entries:
+                    raise ValueError(f"{path}: no classes; every level has at least one")
                 if shard is None:
                     say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
                     collected.extend(entries)
                 below = [entry.canonical for entry in entries]
                 continue
             if shard is not None and n < n_max:
-                below = _grow(family, n, below)
+                below = abstract_children(below) if n > 1 else [_ONE_POINT_CODE]
                 continue
 
             sliced = n == n_max and (shards > 1 or shard is not None)

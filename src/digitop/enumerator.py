@@ -30,8 +30,7 @@ the same least-witness rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import _kernels
 from ._pure import _bits, _spans
@@ -111,16 +110,16 @@ def _mask_cells(mask: int) -> list[Cell]:
     return cells
 
 
-def grow_masks(kind: int, n: int, selector: Callable[[int], bool] | None = None) -> list[int]:
+def grow_masks(kind: int, n: int, k: int = 1, index: int = 0) -> list[int]:
     """Every fixed n-cell set exactly once, as a translation-normalized mask.
 
     Redelmeier's enumeration: each set is grown from its least (x, y) cell
     by a depth-first search that takes cells from an untried set and never
     takes back a cell once a branch has passed it over, so no set is seen
     twice and no deduplication is needed.  The root sits in column 0, so a
-    set is normalized by shifting out its empty low rows.  ``selector``
-    picks outputs by their index in the search order (for sharding); a set
-    it rejects is never stored.
+    set is normalized by shifting out its empty low rows.  Slice ``index``
+    of ``k`` (0 <= index < k) keeps every k-th set in search order, starting
+    at ``index``: the whole list's ``[index::k]``, with no other set stored.
     """
     if not 1 <= n <= MAX_CELLS:
         raise ValueError(f"cell count {n} outside 1..{MAX_CELLS}")
@@ -137,14 +136,18 @@ def grow_masks(kind: int, n: int, selector: Callable[[int], bool] | None = None)
         near = [(x + dx, y + dy) for dx, dy in steps]
         neighbors.append(sum(1 << (ny * _W + nx) for nx, ny in near if (nx, ny) in reachable))
     out: list[int] = []
-    index = count()
+    skip = index  # sets to pass over before the next one this slice keeps
 
     def extend(cells: int, untried: int, seen: int, size: int) -> None:
+        nonlocal skip
         while untried:
             low = untried & -untried
             untried ^= low
             if size + 1 == n:
-                if selector is None or selector(next(index)):
+                if skip:
+                    skip -= 1
+                else:
+                    skip = k - 1
                     grown = cells | low
                     out.append(grown >> ((grown & -grown).bit_length() - 1 & ~15))
             else:
@@ -206,10 +209,7 @@ def _smaller_deletable_point(rows: list[int], parent_degrees: list[int], subset:
     return False
 
 
-def abstract_children(
-    parent_codes: list[str],
-    selector: Callable[[int], bool] | None = None,
-) -> list[str]:
+def abstract_children(parent_codes: list[str]) -> list[str]:
     """Attach one new point to every nonempty neighbor subset of each parent.
 
     Returns the sorted canonical codes of the distinct children.
@@ -225,9 +225,7 @@ def abstract_children(
     is used does not matter.
     """
     codes: set[str] = set()
-    for index, code in enumerate(parent_codes):
-        if selector is not None and not selector(index):
-            continue
+    for code in parent_codes:
         parent = graph6_decode(code)
         m = parent.n
         base = list(parent.rows)

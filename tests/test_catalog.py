@@ -287,6 +287,35 @@ def test_resume_and_merge_check_their_files(tmp_path):
         build_catalog(tmp_path, "abstract", 4, shards=2)
 
 
+def test_resume_refuses_a_level_with_no_rows(tmp_path):
+    build_catalog(tmp_path, "abstract", 3)
+    write_catalog_csv(catalog_path(tmp_path, "abstract", 3), [])
+    with pytest.raises(ValueError, match=r"abstract_n03\.csv: no classes"):
+        build_catalog(tmp_path, "abstract", 5)
+    assert not catalog_path(tmp_path, "abstract", 4).exists()
+    assert not catalog_path(tmp_path, "abstract", 5).exists()
+
+
+def test_resume_and_merge_refuse_codes_on_other_point_counts(tmp_path):
+    build_catalog(tmp_path, "abstract", 3)
+    path = catalog_path(tmp_path, "abstract", 3)
+    good = read_catalog_csv(path)
+    # "C~" is the 4-point complete graph, and it still sorts after level 3.
+    for code in ("C~", ""):
+        write_catalog_csv(path, good)
+        _overwrite_field(path, len(good), "canonical", code)
+        with pytest.raises(ValueError, match=rf"abstract_n03\.csv: row {len(good)}: code '{code}'"):
+            build_catalog(tmp_path, "abstract", 5)
+        assert not catalog_path(tmp_path, "abstract", 4).exists()
+
+    build_catalog(tmp_path, "adj4", 5, shards=2)
+    os.unlink(catalog_path(tmp_path, "adj4", 5))
+    slice_path = tmp_path / "shards" / "adj4_n05.shard0of2.csv"
+    _overwrite_field(slice_path, 1, "canonical", "C~")
+    with pytest.raises(ValueError, match=r"adj4_n05\.shard0of2\.csv: row 1: code 'C~'"):
+        build_catalog(tmp_path, "adj4", 5, shards=2)
+
+
 def test_sharded_build_matches_plain(tmp_path):
     # Each slice labels only the orbit minima among its own cell sets, so
     # slices hold fewer classes; the merge must still equal the plain build.
@@ -437,9 +466,10 @@ def test_scan_of_empty_directory_is_consistent(tmp_path):
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("DIGITOP_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("DIGITOP_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+    for bad in ("0", "-2", "abc", "2.5"):
+        monkeypatch.setenv("DIGITOP_THREADS", bad)
+        with pytest.raises(ValueError, match=f"DIGITOP_THREADS must be a positive integer, got '{bad}'"):
+            worker_count()
     monkeypatch.delenv("DIGITOP_THREADS")
     assert worker_count() >= 1
 

@@ -128,10 +128,20 @@ def test_grow_masks_deterministic_and_sharded():
     masks = grow_masks(4, 5)
     assert masks == grow_masks(4, 5)
     assert len(masks) == len(set(masks)) == 63
-    # The selector picks by index in the search order, so the slices
-    # partition the 63 fixed pentominoes.
-    slices = [grow_masks(4, 5, selector=lambda i, k=k: i % 3 == k) for k in range(3)]
-    assert slices == [masks[k::3] for k in range(3)]
+    # Slice i of k is every k-th set in search order from the i-th, so the
+    # slices partition the 63 fixed pentominoes.
+    slices = [grow_masks(4, 5, 3, index) for index in range(3)]
+    assert slices == [masks[index::3] for index in range(3)]
+
+
+@pytest.mark.parametrize("kind,top", [(4, 8), (8, 6)])
+def test_grow_masks_slice_partition(kind, top):
+    """The slice partition that every shard CSV on disk was cut by."""
+    for n in range(1, top + 1):
+        masks = grow_masks(kind, n)
+        for k in (1, 2, 3):
+            for index in range(k):
+                assert grow_masks(kind, n, k, index) == masks[index::k]
 
 
 def test_cell_count_bounds():
@@ -282,10 +292,7 @@ def test_mask_classes_match_unfiltered(kind, top):
     for n in range(1, top + 1):
         expected = _unfiltered_classes(kind, grow_masks(kind, n))
         assert mask_classes(kind, grow_masks(kind, n)) == expected
-        slices = [
-            mask_classes(kind, grow_masks(kind, n, selector=lambda i, k=k: i % 3 == k))
-            for k in range(3)
-        ]
+        slices = [mask_classes(kind, grow_masks(kind, n, 3, index)) for index in range(3)]
         assert least_witness_items(item for part in slices for item in part) == expected
 
 
@@ -348,11 +355,12 @@ def test_least_witness_items_across_slices(tmp_path, monkeypatch):
             rigid=False, planar=True, is_cycle=False, witness=CellSet(frozenset(cells)),
         )
 
-    left = [entry("a", ((0, 1), (1, 0))), entry("c", ((0, 0), (1, 0)))]
+    # Stand-in codes, each led by graph6's size byte for two points.
+    left = [entry("Aa", ((0, 1), (1, 0))), entry("Ac", ((0, 0), (1, 0)))]
     right = [
-        entry("a", ((0, 0), (1, 1))),
-        entry("b", ((0, 0), (0, 1))),
-        entry("c", ((0, 0), (1, 0))),
+        entry("Aa", ((0, 0), (1, 1))),
+        entry("Ab", ((0, 0), (0, 1))),
+        entry("Ac", ((0, 0), (1, 0))),
     ]
     for index, entries in enumerate((left, right)):
         write_catalog_csv(tmp_path / "shards" / f"adj8_n02.shard{index}of2.csv", entries)
