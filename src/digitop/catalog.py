@@ -110,6 +110,25 @@ class ReportTable:
     rows: tuple[ReportRow, ...]
     warnings: tuple[str, ...] = ()
 
+    def render(self, fmt: str = "csv") -> str:
+        """The four-row count table across all its n, as CSV or markdown."""
+        ns = [row.n for row in self.rows]
+        if fmt == "csv":
+            lines = ["n," + ",".join(str(n) for n in ns)]
+            for attr, _ in _REPORT_ROWS:
+                values = ",".join(str(getattr(row, attr)) for row in self.rows)
+                lines.append(f"{attr},{values}")
+            return "\n".join(lines) + "\n"
+        if fmt == "md":
+            header = "| n | " + " | ".join(str(n) for n in ns) + " |"
+            rule = "|---" * (len(ns) + 1) + "|"
+            lines = [header, rule]
+            for attr, label in _REPORT_ROWS:
+                values = " | ".join(str(getattr(row, attr)) for row in self.rows)
+                lines.append(f"| {label} | {values} |")
+            return "\n".join(lines) + "\n"
+        raise ValueError(f"unknown report format {fmt!r}")
+
 
 # ---------------------------------------------------------------------------
 # CSV persistence
@@ -242,7 +261,7 @@ def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[Ca
         items = mask_classes(_KINDS[family], grow_masks(_KINDS[family], n, k, index))
     flags = _classify_codes([code for code, _ in items])
     return [
-        CatalogEntry(family, n, code, *flag, None if cells is None else CellSet(frozenset(cells)))
+        CatalogEntry(family, n, code, *flag, None if cells is None else CellSet(cells))
         for (code, cells), flag in zip(items, flags)
     ]
 
@@ -250,12 +269,7 @@ def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[Ca
 def _merged_entries(parts: Iterable[list[CatalogEntry]]) -> list[CatalogEntry]:
     """The classified slices folded into one level: least witness per code."""
     items = least_witness_items(
-        (
-            entry.canonical,
-            None if entry.witness is None else tuple(entry.witness.sorted_cells()),
-            entry,
-        )
-        for entry in itertools.chain.from_iterable(parts)
+        (entry.canonical, entry.witness, entry) for entry in itertools.chain.from_iterable(parts)
     )
     return [entry for _, _, entry in items]
 
@@ -289,8 +303,8 @@ def build_catalog(
         raise ValueError(f"cell count {n_max} outside 1..{MAX_CELLS}")
     if shards < 1:
         raise ValueError("shard count must be positive")
-    if shard is not None and not 0 <= shard < shards:
-        raise ValueError(f"shard index {shard} outside 0..{shards - 1}")
+    if shard is not None and not (shards > 1 and 0 <= shard < shards):
+        raise ValueError(f"shard {shard} of {shards}: needs shards > 1 and 0 <= shard < shards")
     out_dir = Path(out_dir)
     say = log if log is not None else (lambda message: None)
 
@@ -314,7 +328,7 @@ def build_catalog(
                 below = abstract_children(below) if n > 1 else [_ONE_POINT_CODE]
                 continue
 
-            sliced = n == n_max and (shards > 1 or shard is not None)
+            sliced = n == n_max and shards > 1
             k = shards if sliced else worker_count()
             slice_paths = [
                 out_dir / "shards" / f"{family}_n{n:02d}.shard{index}of{k}.csv"
@@ -399,23 +413,7 @@ _REPORT_ROWS = (
 
 def render_report(catalog_dir: Path | str, family: str, fmt: str = "csv") -> str:
     """The four-row count table across all available n, as CSV or markdown."""
-    table = build_report(catalog_dir, family)
-    ns = [row.n for row in table.rows]
-    if fmt == "csv":
-        lines = ["n," + ",".join(str(n) for n in ns)]
-        for attr, _ in _REPORT_ROWS:
-            values = ",".join(str(getattr(row, attr)) for row in table.rows)
-            lines.append(f"{attr},{values}")
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        header = "| n | " + " | ".join(str(n) for n in ns) + " |"
-        rule = "|---" * (len(ns) + 1) + "|"
-        lines = [header, rule]
-        for attr, label in _REPORT_ROWS:
-            values = " | ".join(str(getattr(row, attr)) for row in table.rows)
-            lines.append(f"| {label} | {values} |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    return build_report(catalog_dir, family).render(fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +439,8 @@ class ScanReport:
 
 def scan_conjectures(catalog_dir: Path | str) -> ScanReport:
     directory = Path(catalog_dir)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no catalog directory {directory}")
     findings: list[CatalogEntry] = []
     counterexamples: list[str] = []
     for family in FAMILIES:

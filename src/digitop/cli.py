@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import build_catalog, render_report, scan_conjectures
+from .catalog import build_catalog, build_report, scan_conjectures
 from .enumerator import FAMILIES
 from .homotopy import Classification, classify
 from .image import DigitalImage, LatticeImage, graph6_decode, graph6_encode, lattice_to_image
@@ -74,8 +74,6 @@ def _classification_text(result: Classification) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.shard is not None and args.shards == 1:
-        raise ValueError("--shard requires --shards greater than 1")
     build_catalog(
         args.out,
         args.family,
@@ -126,7 +124,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    sys.stdout.write(render_report(args.catalog, args.family, args.format))
+    table = build_report(args.catalog, args.family)
+    for warning in table.warnings:
+        print(f"digitop report: {warning}", file=sys.stderr)
+    sys.stdout.write(table.render(args.format))
     return 0
 
 

@@ -46,18 +46,22 @@ Cell = tuple[int, int]
 Item = tuple[str, tuple[Cell, ...] | None]  # canonical code, least witness cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CellSet:
-    """A translation-normalized finite set of grid cells (min x = min y = 0)."""
+    """A translation-normalized finite set of grid cells (min x = min y = 0).
 
-    cells: frozenset[Cell]
+    ``cells`` is a tuple of the distinct cells in (x, y) order, the witness
+    order: the CSV writes it and cell sets compare by it.
+    """
+
+    cells: tuple[Cell, ...]
 
     def __post_init__(self):
-        if not isinstance(self.cells, frozenset):
-            object.__setattr__(self, "cells", frozenset(self.cells))
-        if not self.cells:
+        cells = tuple(sorted(set(self.cells)))
+        object.__setattr__(self, "cells", cells)
+        if not cells:
             raise ValueError("a cell set needs at least one cell")
-        if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
+        if cells[0][0] != 0 or min([y for _, y in cells]) != 0:
             raise ValueError("cell set is not translation-normalized")
 
     @classmethod
@@ -66,7 +70,7 @@ class CellSet:
         pts = list(points)
         dx = min(x for x, _ in pts)
         dy = min(y for _, y in pts)
-        return cls(frozenset((x - dx, y - dy) for x, y in pts))
+        return cls((x - dx, y - dy) for x, y in pts)
 
     @classmethod
     def parse(cls, text: str) -> "CellSet":
@@ -75,13 +79,13 @@ class CellSet:
         for chunk in text.strip().split(";"):
             x_str, y_str = chunk.split(",")
             cells.append((int(x_str), int(y_str)))
-        return cls(frozenset(cells))
+        return cls(cells)
 
     def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
+        return list(self.cells)
 
     def as_string(self) -> str:
-        return ";".join(f"{x},{y}" for x, y in self.sorted_cells())
+        return ";".join(f"{x},{y}" for x, y in self.cells)
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,9 @@ def least_witness_items(items: Iterable[tuple]) -> list[tuple]:
     """One item per code, sorted by code.
 
     An item starts ``(code, witness, ...)``; any further fields ride along.
-    Each code keeps the item with its least witness (compared as sorted cell
-    tuples), so the result does not depend on the order of ``items``.
+    Each code keeps the item with its least witness (a tuple of cells in
+    (x, y) order, or a :class:`CellSet`, which compares by that tuple), so
+    the result does not depend on the order of ``items``.
     """
     best: dict[str, tuple] = {}
     for item in items:
@@ -329,7 +334,8 @@ def enumerate_abstract_connected(n: int) -> list[ImageClass]:
 
 
 def _cell_sets(masks: list[int]) -> list[CellSet]:
-    return [CellSet(frozenset(cells)) for cells in sorted(map(_mask_cells, masks))]
+    # Sorted as plain lists: each comparison of two CellSets is a Python call.
+    return [CellSet(cells) for cells in sorted(map(_mask_cells, masks))]
 
 
 def enumerate_fixed_polyominoes(n: int) -> list[CellSet]:
@@ -351,16 +357,7 @@ def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
     if kind not in (4, 8):
         raise ValueError("adjacency kind must be 4 or 8")
     family = f"adj{kind}"
-    classes = []
-    for code, witness in mask_classes(kind, grow_masks(kind, n)):
-        assert witness is not None
-        classes.append(
-            ImageClass(
-                family,
-                n,
-                CanonicalForm(code),
-                graph6_decode(code),
-                CellSet(frozenset(witness)),
-            )
-        )
-    return classes
+    return [
+        ImageClass(family, n, CanonicalForm(code), graph6_decode(code), CellSet(witness))
+        for code, witness in mask_classes(kind, grow_masks(kind, n))
+    ]

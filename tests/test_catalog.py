@@ -132,6 +132,8 @@ def test_build_catalog_argument_validation(tmp_path):
         build_catalog(tmp_path, "abstract", 3, shards=0)
     with pytest.raises(ValueError):
         build_catalog(tmp_path, "abstract", 3, shards=2, shard=2)
+    with pytest.raises(ValueError):  # a one-way split has no slice to write
+        build_catalog(tmp_path, "abstract", 3, shards=1, shard=0)
     for family in ("adj4", "adj8"):
         with pytest.raises(ValueError, match="cell count 15 outside 1..14"):
             build_catalog(tmp_path, family, 15)
@@ -457,6 +459,11 @@ def test_scan_flags_long_cycle_not_irreducible(tmp_path):
 def test_scan_of_empty_directory_is_consistent(tmp_path):
     report = scan_conjectures(tmp_path)
     assert report.consistent and report.findings == ()
+
+
+def test_scan_of_missing_directory_raises(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no catalog directory"):
+        scan_conjectures(tmp_path / "void")
 
 
 # ---------------------------------------------------------------------------

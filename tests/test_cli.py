@@ -135,6 +135,24 @@ def test_report_missing_catalog_exits_3(tmp_path, capsys):
     assert main(["report", "--catalog", str(tmp_path / "void"), "--family", "adj4"]) == 3
 
 
+def test_report_prints_gap_warnings(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["enumerate", "--family", "abstract", "--n", "4", "--out", out]) == 0
+    catalog_path(out, "abstract", 2).unlink()
+    capsys.readouterr()
+    assert main(["report", "--catalog", out, "--family", "abstract"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.splitlines()[0] == "n,1,3,4"
+    assert stderr == "digitop report: missing catalog file for abstract n=2\n"
+
+
+def test_conjectures_missing_catalog_exits_3(tmp_path, capsys):
+    assert main(["conjectures", "--catalog", str(tmp_path / "void")]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert "no catalog directory" in stderr
+
+
 def test_conjectures_counterexample_exits_2(tmp_path, capsys):
     bad = _abstract_entry(
         "Fake", 7, reducible=False, pointed_reducible=False, rigid=False,
