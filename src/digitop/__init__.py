@@ -19,13 +19,11 @@ from .catalog import (
     build_report,
     catalog_path,
     read_catalog_csv,
-    render_report,
     scan_conjectures,
     write_catalog_csv,
 )
 from .enumerator import (
     CellSet,
-    ImageClass,
     enumerate_abstract_connected,
     enumerate_fixed_polyominoes,
     enumerate_fixed_polyplets,
@@ -43,7 +41,6 @@ from .homotopy import (
 )
 from .image import (
     GRAPH6_MAX_N,
-    CanonicalForm,
     DigitalImage,
     Graph6Error,
     LatticeImage,
@@ -69,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "CanonicalForm",
     "CatalogEntry",
     "CellSet",
     "Classification",
@@ -77,7 +73,6 @@ __all__ = [
     "FIXTURE_CODES",
     "GRAPH6_MAX_N",
     "Graph6Error",
-    "ImageClass",
     "LatticeImage",
     "ReportRow",
     "ReportTable",
@@ -110,7 +105,6 @@ __all__ = [
     "read_catalog_csv",
     "realize_cycle_4adj",
     "reduce_to_core",
-    "render_report",
     "scan_conjectures",
     "write_catalog_csv",
     "__version__",

@@ -368,11 +368,12 @@ def build_catalog(
 
 
 def _family_levels(catalog_dir: Path | str, family: str) -> list[int]:
-    directory = Path(catalog_dir)
+    """The n of every level file, named exactly as :func:`catalog_path`
+    names it (``abstract_n3.csv`` or ``abstract_n007.csv`` is no level)."""
     levels = []
-    for path in directory.glob(f"{family}_n*.csv"):
+    for path in Path(catalog_dir).glob(f"{family}_n*.csv"):
         stem = path.stem[len(family) + 2 :]
-        if stem.isdigit():
+        if stem.isdecimal() and path.name == catalog_path(catalog_dir, family, int(stem)).name:
             levels.append(int(stem))
     return sorted(levels)
 
@@ -409,11 +410,6 @@ _REPORT_ROWS = (
     ("irreducible", "Irreducible"),
     ("rigid", "Rigid"),
 )
-
-
-def render_report(catalog_dir: Path | str, family: str, fmt: str = "csv") -> str:
-    """The four-row count table across all available n, as CSV or markdown."""
-    return build_report(catalog_dir, family).render(fmt)
 
 
 # ---------------------------------------------------------------------------

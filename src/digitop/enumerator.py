@@ -25,6 +25,10 @@ witness cell set per canonical code; a class is a union of whole orbits, so
 that witness is always the least of its orbit and is never filtered out.
 The shard merge in :mod:`digitop.catalog` folds classified slices through
 the same least-witness rule.
+
+A class is its canonical graph6 code.  The public enumerators return the
+columns a catalog stores: the sorted codes of a level (``canonical``), and
+for a lattice level each code with its least witness (``witness_cells``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterable, Iterator
 
 from . import _kernels
 from ._pure import _bits, _spans
-from .image import CanonicalForm, DigitalImage, _encode_rows, graph6_decode
+from .image import _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
 
@@ -81,22 +85,8 @@ class CellSet:
             cells.append((int(x_str), int(y_str)))
         return cls(cells)
 
-    def sorted_cells(self) -> list[Cell]:
-        return list(self.cells)
-
     def as_string(self) -> str:
         return ";".join(f"{x},{y}" for x, y in self.cells)
-
-
-@dataclass(frozen=True)
-class ImageClass:
-    """One isomorphism class: canonical representative plus metadata."""
-
-    family: str
-    n: int
-    canonical: CanonicalForm
-    representative: DigitalImage
-    witness: CellSet | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +115,8 @@ def grow_masks(kind: int, n: int, k: int = 1, index: int = 0) -> list[int]:
     of ``k`` (0 <= index < k) keeps every k-th set in search order, starting
     at ``index``: the whole list's ``[index::k]``, with no other set stored.
     """
+    if kind not in (4, 8):
+        raise ValueError("adjacency kind must be 4 or 8")
     if not 1 <= n <= MAX_CELLS:
         raise ValueError(f"cell count {n} outside 1..{MAX_CELLS}")
     # Per grid bit, the neighbors that may join a set rooted at (0, n - 1):
@@ -320,17 +312,14 @@ def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
 # Public enumeration operations
 
 
-def enumerate_abstract_connected(n: int) -> list[ImageClass]:
-    """All isomorphism classes of connected images on exactly n points."""
+def enumerate_abstract_connected(n: int) -> list[str]:
+    """The sorted canonical codes of the connected images on exactly n points."""
     if n < 1:
         raise ValueError("point count must be positive")
     codes = [_ONE_POINT_CODE]
     for _ in range(2, n + 1):
         codes = abstract_children(codes)
-    return [
-        ImageClass("abstract", n, CanonicalForm(code), graph6_decode(code))
-        for code in codes
-    ]
+    return codes
 
 
 def _cell_sets(masks: list[int]) -> list[CellSet]:
@@ -348,16 +337,11 @@ def enumerate_fixed_polyplets(n: int) -> list[CellSet]:
     return _cell_sets(grow_masks(8, n))
 
 
-def enumerate_lattice_images(kind: int, n: int) -> list[ImageClass]:
-    """All classes of connected n-point images in Z^2 with the given adjacency.
+def enumerate_lattice_images(kind: int, n: int) -> list[tuple[str, CellSet]]:
+    """(code, least witness) of every class of connected n-point images in
+    Z^2 with the given adjacency, sorted by code.
 
-    Every class carries a witness cell set, so each catalog entry is
-    realizable in Z^2 by construction.
+    The witness realizes its class in Z^2, so each catalog entry is
+    realizable by construction.
     """
-    if kind not in (4, 8):
-        raise ValueError("adjacency kind must be 4 or 8")
-    family = f"adj{kind}"
-    return [
-        ImageClass(family, n, CanonicalForm(code), graph6_decode(code), CellSet(witness))
-        for code, witness in mask_classes(kind, grow_masks(kind, n))
-    ]
+    return [(code, CellSet(cells)) for code, cells in mask_classes(kind, grow_masks(kind, n))]

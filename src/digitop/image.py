@@ -3,7 +3,9 @@
 A binary digital image is a point set with a symmetric antireflexive
 adjacency relation; up to isomorphism it is exactly a simple graph.  Points
 are labeled ``0..n-1`` and adjacency is stored as one integer bitmask per
-point (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).
+point (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  An isomorphism class is
+named by one plain string, the graph6 code of its canonical labeling: the
+``canonical`` column of a catalog CSV.
 """
 
 from __future__ import annotations
@@ -123,16 +125,6 @@ class LatticeImage:
         return LatticeImage(self.kind, frozenset((x + dx, y + dy) for x, y in self.points))
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """graph6 code of the canonically relabeled image.
-
-    Equal codes iff isomorphic; invariant under any relabeling of the input.
-    """
-
-    code: str
-
-
 def lattice_to_image(lattice: LatticeImage) -> DigitalImage:
     """The induced abstract image; labels follow lexicographic (x, y) order.
     The cells move to the origin first, so only their extent is bounded."""
@@ -226,14 +218,15 @@ def graph6_decode(text: str) -> DigitalImage:
     return DigitalImage(n, tuple(rows))
 
 
-def canonical_form(image: DigitalImage) -> CanonicalForm:
-    """Complete isomorphism invariant, deterministic across runs."""
+def canonical_form(image: DigitalImage) -> str:
+    """graph6 code of the canonically relabeled image: equal codes iff
+    isomorphic, invariant under any relabeling of the input."""
     if image.n > GRAPH6_MAX_N:
         raise Graph6Error(
             f"point count {image.n} exceeds the supported graph6 range ({GRAPH6_MAX_N})"
         )
     rows = _kernels.canonical_rows(image.n, image.rows)
-    return CanonicalForm(_encode_rows(image.n, rows))
+    return _encode_rows(image.n, rows)
 
 
 def canonical_image(image: DigitalImage) -> DigitalImage:

@@ -112,7 +112,7 @@ def test_criterion_04_irreducible_noncycle_fixtures(catalog):
             verdict = classify(image)
             assert verdict.irreducible and not verdict.rigid, f"{code}: {verdict.label}"
             assert not is_planar(image), f"{code} should be nonplanar"
-            canon[code] = canonical_form(image).code
+            canon[code] = canonical_form(image)
 
         def noncycle_set(n):
             return {
@@ -142,7 +142,7 @@ def test_criterion_06_embedding(catalog):
             for entry in _level(catalog, "adj4", n):
                 lattice = LatticeImage(4, frozenset(entry.witness.cells))
                 embedded = lattice_to_image(embed_4_to_8(lattice))
-                assert canonical_form(embedded).code == entry.canonical, (
+                assert canonical_form(embedded) == entry.canonical, (
                     f"adj4 n={n} {entry.canonical}: embedding changed the class"
                 )
         adj4 = _counts(catalog, "adj4")
@@ -157,7 +157,7 @@ def test_criterion_07_oracle_equivalence(catalog):
     with criterion(7, "brute-force oracles: labeled graphs, box subsets, unpruned map filter"):
         for n in range(1, 7):
             brute = {
-                canonical_form(DigitalImage(n, rows)).code
+                canonical_form(DigitalImage(n, rows))
                 for rows in all_labeled_connected(n)
             }
             got = {e.canonical for e in _level(catalog, "abstract", n)}

@@ -18,7 +18,6 @@ from digitop.catalog import (
     build_report,
     catalog_path,
     read_catalog_csv,
-    render_report,
     scan_conjectures,
     worker_count,
     write_catalog_csv,
@@ -149,12 +148,12 @@ def test_abstract_build_levels_and_content(tmp_path):
     for n in range(1, 6):
         assert catalog_path(tmp_path, "abstract", n).exists()
 
-    c4 = canonical_form(cycle_image(4)).code
+    c4 = canonical_form(cycle_image(4))
     row = next(e for e in by_level[4] if e.canonical == c4)
     assert row.reducible and row.pointed_reducible and not row.rigid
     assert row.planar and row.is_cycle
 
-    c5 = canonical_form(cycle_image(5)).code
+    c5 = canonical_form(cycle_image(5))
     row = next(e for e in by_level[5] if e.canonical == c5)
     assert row.irreducible and not row.rigid and row.planar and row.is_cycle
 
@@ -170,7 +169,7 @@ def test_lattice_build_witness_invariant(tmp_path):
     assert counts == {1: 1, 2: 1, 3: 1, 4: 3, 5: 4, 6: 10}
     for entry in entries:
         lattice = LatticeImage(4, frozenset(entry.witness.cells))
-        assert canonical_form(lattice_to_image(lattice)).code == entry.canonical
+        assert canonical_form(lattice_to_image(lattice)) == entry.canonical
 
 
 def test_rebuild_is_byte_identical(tmp_path):
@@ -382,6 +381,19 @@ def test_report_warns_on_gaps(tmp_path):
     assert table.warnings == ("missing catalog file for abstract n=2",)
 
 
+def test_report_reads_only_level_file_names(tmp_path):
+    # A file that catalog_path would not name is no level: neither a second
+    # n = 3 nor an n = 7 whose file is abstract_n07.csv.
+    build_catalog(tmp_path, "abstract", 4)
+    level3 = catalog_path(tmp_path, "abstract", 3)
+    (tmp_path / "abstract_n3.csv").write_bytes(level3.read_bytes())
+    (tmp_path / "abstract_n007.csv").write_bytes(level3.read_bytes())
+    table = build_report(tmp_path, "abstract")
+    assert [r.n for r in table.rows] == [1, 2, 3, 4]
+    assert table.warnings == ()
+    assert catalog._family_levels(tmp_path, "abstract") == [1, 2, 3, 4]
+
+
 def test_report_errors(tmp_path):
     with pytest.raises(ValueError):
         build_report(tmp_path, "nonsense")
@@ -391,7 +403,7 @@ def test_report_errors(tmp_path):
 
 def test_render_report_formats(tmp_path):
     build_catalog(tmp_path, "abstract", 4)
-    csv_text = render_report(tmp_path, "abstract", "csv")
+    csv_text = build_report(tmp_path, "abstract").render("csv")
     assert csv_text.splitlines() == [
         "n,1,2,3,4",
         "images,1,1,2,6",
@@ -399,13 +411,13 @@ def test_render_report_formats(tmp_path):
         "irreducible,1,0,0,0",
         "rigid,1,0,0,0",
     ]
-    md_text = render_report(tmp_path, "abstract", "md")
+    md_text = build_report(tmp_path, "abstract").render("md")
     lines = md_text.splitlines()
     assert lines[0] == "| n | 1 | 2 | 3 | 4 |"
     assert lines[1].startswith("|---")
     assert lines[2] == "| Images | 1 | 1 | 2 | 6 |"
     with pytest.raises(ValueError):
-        render_report(tmp_path, "abstract", "html")
+        build_report(tmp_path, "abstract").render("html")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from digitop.image import (
     LatticeImage,
     _encode_rows,
     canonical_form,
+    graph6_decode,
     lattice_to_image,
 )
 
@@ -85,10 +86,10 @@ def _code_of_cells(kind, cells):
 def test_cellset_normalization_and_parsing():
     raw = [(3, 5), (4, 5), (4, 6)]
     cs = CellSet.from_points(raw)
-    assert cs.sorted_cells() == [(0, 0), (1, 0), (1, 1)]
+    assert cs.cells == ((0, 0), (1, 0), (1, 1))
     assert cs.as_string() == "0,0;1,0;1,1"
     assert CellSet.parse(cs.as_string()) == cs
-    assert CellSet.parse("2,0;0,1").sorted_cells() == [(0, 1), (2, 0)]
+    assert CellSet.parse("2,0;0,1").cells == ((0, 1), (2, 0))
     with pytest.raises(ValueError):
         CellSet(frozenset({(1, 1), (2, 1)}))
     with pytest.raises(ValueError):
@@ -120,7 +121,7 @@ def test_fixed_polyplet_counts(n, count):
 def test_cell_sets_match_box_oracle(kind, n):
     grown = enumerate_fixed_polyominoes(n) if kind == 4 else enumerate_fixed_polyplets(n)
     assert {frozenset(cs.cells) for cs in grown} == _box_connected_sets(kind, n)
-    listed = [cs.sorted_cells() for cs in grown]
+    listed = [cs.cells for cs in grown]
     assert listed == sorted(listed)
 
 
@@ -153,6 +154,14 @@ def test_cell_count_bounds():
         enumerate_lattice_images(5, 3)
 
 
+@pytest.mark.parametrize("kind", [0, 5, 6])
+def test_grow_masks_rejects_unknown_kind(kind):
+    # Growth and adjacency rows must agree on the kind: any other kind would
+    # grow 4-connected sets and then give them 8-adjacency rows.
+    with pytest.raises(ValueError, match="adjacency kind must be 4 or 8"):
+        grow_masks(kind, 4)
+
+
 # ---------------------------------------------------------------------------
 # abstract classes
 
@@ -165,9 +174,9 @@ def test_abstract_class_counts(n, count):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_abstract_classes_match_labeled_oracle(n):
     """Exact canonical-code set equality against all labeled connected graphs."""
-    grown = {cls.canonical.code for cls in enumerate_abstract_connected(n)}
+    grown = set(enumerate_abstract_connected(n))
     brute = {
-        canonical_form(DigitalImage(n, rows)).code for rows in all_labeled_connected(n)
+        canonical_form(DigitalImage(n, rows)) for rows in all_labeled_connected(n)
     }
     assert grown == brute
 
@@ -176,9 +185,9 @@ def test_abstract_children_label_only_deletion_candidates(monkeypatch):
     """From the 853 classes on 7 points, only the children that pass the
     deletion test reach canonical labeling (108,331 children in all), and
     they still yield every class on 8 points."""
-    parents = [cls.canonical.code for cls in enumerate_abstract_connected(7)]
+    parents = enumerate_abstract_connected(7)
     assert len(parents) == 853
-    expected = [cls.canonical.code for cls in enumerate_abstract_connected(8)]
+    expected = enumerate_abstract_connected(8)
 
     labelings = 0
     label = _kernels.canonical_rows
@@ -196,13 +205,12 @@ def test_abstract_children_label_only_deletion_candidates(monkeypatch):
 
 
 def test_abstract_classes_are_sorted_and_canonical():
-    classes = enumerate_abstract_connected(5)
-    codes = [cls.canonical.code for cls in classes]
+    codes = enumerate_abstract_connected(5)
     assert codes == sorted(codes)
-    for cls in classes:
-        assert cls.family == "abstract" and cls.n == 5
-        assert canonical_form(cls.representative).code == cls.canonical.code
-        assert cls.witness is None
+    for code in codes:
+        image = graph6_decode(code)
+        assert image.n == 5
+        assert canonical_form(image) == code
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +235,18 @@ def test_lattice_classes_match_box_oracle(kind, n):
         if prior is None or ordered < prior:
             by_code[code] = ordered
     classes = enumerate_lattice_images(kind, n)
-    assert {cls.canonical.code for cls in classes} == set(by_code)
-    for cls in classes:
-        assert tuple(cls.witness.sorted_cells()) == by_code[cls.canonical.code]
+    assert {code for code, _ in classes} == set(by_code)
+    for code, witness in classes:
+        assert witness.cells == by_code[code]
 
 
 @pytest.mark.parametrize("kind", [4, 8])
 def test_lattice_witness_reproduces_code(kind):
     for n in (4, 6):
-        for cls in enumerate_lattice_images(kind, n):
-            image = lattice_to_image(LatticeImage(kind, frozenset(cls.witness.cells)))
-            assert canonical_form(image).code == cls.canonical.code
-            assert cls.family == f"adj{kind}" and cls.n == n
+        for code, witness in enumerate_lattice_images(kind, n):
+            image = lattice_to_image(LatticeImage(kind, frozenset(witness.cells)))
+            assert canonical_form(image) == code
+            assert graph6_decode(code).n == n
 
 
 def _d4_images(cells):
@@ -373,3 +381,22 @@ def test_least_witness_items_across_slices(tmp_path, monkeypatch):
     expected = [right[0], right[1], left[1]]
     assert merged[1:] == expected
     assert read_catalog_csv(catalog_path(tmp_path, "adj8", 2)) == expected
+
+
+# ---------------------------------------------------------------------------
+# library enumerators against a built catalog
+
+
+@pytest.mark.parametrize("family,top", [("abstract", 6), ("adj4", 7), ("adj8", 5)])
+def test_enumerators_return_catalog_columns(tmp_path, family, top):
+    """The library returns a level's ``canonical`` column, and for a lattice
+    level its (``canonical``, ``witness_cells``) pairs, as a build writes them."""
+    build_catalog(tmp_path, family, top)
+    for n in range(1, top + 1):
+        entries = read_catalog_csv(catalog_path(tmp_path, family, n))
+        if family == "abstract":
+            assert enumerate_abstract_connected(n) == [e.canonical for e in entries]
+        else:
+            assert enumerate_lattice_images(catalog._KINDS[family], n) == [
+                (e.canonical, e.witness) for e in entries
+            ]

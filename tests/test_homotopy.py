@@ -42,7 +42,7 @@ def _image_classes(n):
     """One representative per isomorphism class of connected images on n points."""
     seen = {}
     for rows in all_labeled_connected(n):
-        key = canonical_form(DigitalImage(n, rows)).code
+        key = canonical_form(DigitalImage(n, rows))
         if key not in seen:
             seen[key] = DigitalImage(n, rows)
     return list(seen.values())

@@ -9,17 +9,21 @@ exposes it as a subgraph).  The other is networkx's ``check_planarity``.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import digitop
 from digitop import (
     DigitalImage,
     LatticeImage,
     enumerate_abstract_connected,
+    graph6_decode,
     is_connected,
     is_planar,
     lattice_to_image,
@@ -233,11 +237,11 @@ def _planar_by_networkx(image: DigitalImage) -> bool:
 def test_planarity_matches_networkx_on_every_class_to_8():
     # The left-right test is also run without the bounds, on every class.
     for n in range(1, 9):
-        for cls in enumerate_abstract_connected(n):
-            image = cls.representative
+        for code in enumerate_abstract_connected(n):
+            image = graph6_decode(code)
             expected = _planar_by_networkx(image)
-            assert is_planar(image) == expected, cls.canonical.code
-            assert _lr_planar(n, image.rows) == expected, cls.canonical.code
+            assert is_planar(image) == expected, code
+            assert _lr_planar(n, image.rows) == expected, code
 
 
 def test_planarity_matches_networkx_on_random_graphs(rng):
@@ -308,6 +312,18 @@ def test_planarity_edge_cases(build, planar, bounded, rng):
         assert is_planar(image) == planar
         assert _lr_planar(n, image.rows) == planar
         image = image.relabeled(rng.sample(range(n), n))
+
+
+def test_public_api_matches_readme():
+    # Every exported name resolves and is listed once, and the README's
+    # library import block runs.
+    assert len(digitop.__all__) == len(set(digitop.__all__))
+    for name in digitop.__all__:
+        assert hasattr(digitop, name), name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(block, {})
 
 
 def test_import_does_not_load_networkx():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from digitop import _kernels, _pure, enumerator
 from digitop.enumerator import abstract_children, enumerate_abstract_connected, grow_masks
 from digitop.homotopy import _induced_subimage
-from digitop.image import LatticeImage, lattice_to_image
+from digitop.image import LatticeImage, graph6_decode, lattice_to_image
 
 from .conftest import load_core, permuted_rows, random_connected_rows, subprocess_env
 
@@ -85,10 +85,10 @@ def test_min_image_parity(core_twin, n, rand):
 
 def test_one_step_kernels_parity_exhaustive(core_twin):
     """Both one-step walkers agree on every connected class with n <= 7."""
-    classes = [c for n in range(1, 8) for c in enumerate_abstract_connected(n)]
-    assert len(classes) == 996
-    for c in classes:
-        n, rows = c.n, list(c.representative.rows)
+    images = [graph6_decode(c) for n in range(1, 8) for c in enumerate_abstract_connected(n)]
+    assert len(images) == 996
+    for image in images:
+        n, rows = image.n, list(image.rows)
         assert core_twin.classify_flags(n, rows) == _pure.classify_flags(n, rows), rows
         assert core_twin.min_image_nonsurjective(n, rows) == _pure.min_image_nonsurjective(
             n, rows
@@ -140,10 +140,10 @@ def min_image_cases():
     rng = random.Random(0xB0B)
     cases = []
     for n in range(1, 8):
-        for c in enumerate_abstract_connected(n):
+        for code in enumerate_abstract_connected(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            rows = list(permuted_rows(c.representative.rows, perm))
+            rows = list(permuted_rows(graph6_decode(code).rows, perm))
             cases.append((n, rows, _exhaustive_min_image(n, rows)))
     assert len(cases) == 996
     for size in range(16, 25):
