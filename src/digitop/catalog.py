@@ -6,13 +6,14 @@ isomorphism class with its classification flags, planarity, cycle flag, and
 and sorted by canonical code, so runs with any shard count produce
 byte-identical output.  An existing file is checked (its rows parse and name
 its family and n, its codes are on n points and strictly ascend, and a level
-has at least one row) and kept, so builds resume per n.  Abstract levels
-grow from the level below; lattice levels stand alone.  A level is built as
-k slices, each grown and classified on its own (in one worker pool per
-build) and folded by least witness: slice i of k grows from every k-th
-parent code, or keeps every k-th cell set in search order, starting at the
-i-th.  A shard run writes one slice under ``shards/``; the merge folds them
-without classifying again.
+has at least one row) and kept, so builds resume per n; reports and the
+conjecture scan read every level through the same check, and a file that
+fails it raises an error naming it.  Abstract levels grow from the level
+below; lattice levels stand alone.  A level is built as k slices, each grown
+and classified on its own (in one worker pool per build) and folded by least
+witness: slice i of k grows from every k-th parent code, or keeps every k-th
+cell set in search order, starting at the i-th.  A shard run writes one
+slice under ``shards/``; the merge folds them without classifying again.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .enumerator import (
@@ -198,14 +199,6 @@ def read_catalog_csv(path: Path) -> list[CatalogEntry]:
 # Classification of code lists
 
 
-def _classify_one(code: str) -> tuple[bool, bool, bool, bool, bool]:
-    image = graph6_decode(code)
-    reducible, pointed, rigid = _kernels.classify_flags(image.n, image.rows)
-    planar = is_planar(image)
-    cycle = all(image.degree(i) == 2 for i in range(image.n))
-    return reducible, pointed, rigid, planar, cycle
-
-
 def worker_count() -> int:
     """Worker processes for a build, ``DIGITOP_THREADS`` (default: CPU count);
     also the number of slices a plain build splits each level into."""
@@ -223,7 +216,11 @@ def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool
     """The flags of each code, in one process: a build runs whole slices in
     parallel instead.  Kept under this name as the seam where a level's
     classification can be timed or replaced on its own."""
-    return [_classify_one(code) for code in codes]
+    flags = []
+    for image in map(graph6_decode, codes):
+        cycle = all(image.degree(i) == 2 for i in range(image.n))
+        flags.append((*_kernels.classify_flags(image.n, image.rows), is_planar(image), cycle))
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +230,14 @@ def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool
 _KINDS = {"adj4": 4, "adj8": 8}
 
 
-def _read_level(path: Path, family: str, n: int) -> list[CatalogEntry]:
+def _read_level(path: Path, family: str, n: int, *, is_slice: bool = False) -> list[CatalogEntry]:
     """A level or slice CSV, checked: every row is (family, n), its code
-    encodes n points (graph6's first byte is n + 63), and the codes
-    strictly ascend."""
+    encodes n points (graph6's first byte is n + 63), the codes strictly
+    ascend, and a level (a slice may be empty) has at least one row.  The
+    one way resume, merge, reports and the scan read a catalog file."""
     entries = read_catalog_csv(path)
+    if not (entries or is_slice):
+        raise ValueError(f"{path}: no classes; every level has at least one")
     size = chr(n + 63)
     for row, entry in enumerate(entries, start=1):
         if (entry.family, entry.n) != (family, n):
@@ -317,8 +317,6 @@ def build_catalog(
             path = catalog_path(out_dir, family, n)
             if path.exists() and (shard is None or n < n_max):
                 entries = _read_level(path, family, n)
-                if not entries:
-                    raise ValueError(f"{path}: no classes; every level has at least one")
                 if shard is None:
                     say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
                     collected.extend(entries)
@@ -352,10 +350,9 @@ def build_catalog(
             if shard is not None:
                 return []
 
-            entries = _merged_entries(
-                computed[index] if index in computed else _read_level(slice_paths[index], family, n)
-                for index in range(k)
-            )
+            for index in set(range(k)) - computed.keys():  # slices an earlier shard run wrote
+                computed[index] = _read_level(slice_paths[index], family, n, is_slice=True)
+            entries = _merged_entries(computed[index] for index in range(k))
             write_catalog_csv(path, entries)
             say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
             collected.extend(entries)
@@ -378,29 +375,32 @@ def _family_levels(catalog_dir: Path | str, family: str) -> list[int]:
     return sorted(levels)
 
 
+def _levels(catalog_dir: Path | str, family: str) -> Iterator[list[CatalogEntry]]:
+    """Each level of one family in n order, read and checked as a resume
+    reads it: a level is never empty, and every entry in it has its n."""
+    for n in _family_levels(catalog_dir, family):
+        yield _read_level(catalog_path(catalog_dir, family, n), family, n)
+
+
 def build_report(catalog_dir: Path | str, family: str) -> ReportTable:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    levels = _family_levels(catalog_dir, family)
-    if not levels:
+    rows = [
+        ReportRow(
+            n=entries[0].n,
+            images=len(entries),
+            pointed_irreducible=sum(e.pointed_irreducible for e in entries),
+            irreducible=sum(e.irreducible for e in entries),
+            rigid=sum(e.rigid for e in entries),
+        )
+        for entries in _levels(catalog_dir, family)
+    ]
+    if not rows:
         raise FileNotFoundError(f"no catalog files for family {family!r} in {catalog_dir}")
     warnings = tuple(
         f"missing catalog file for {family} n={n}"
-        for n in range(1, levels[-1] + 1)
-        if n not in set(levels)
+        for n in sorted(set(range(1, rows[-1].n + 1)) - {row.n for row in rows})
     )
-    rows = []
-    for n in levels:
-        entries = read_catalog_csv(catalog_path(catalog_dir, family, n))
-        rows.append(
-            ReportRow(
-                n=n,
-                images=len(entries),
-                pointed_irreducible=sum(e.pointed_irreducible for e in entries),
-                irreducible=sum(e.irreducible for e in entries),
-                rigid=sum(e.rigid for e in entries),
-            )
-        )
     return ReportTable(family=family, rows=tuple(rows), warnings=warnings)
 
 
@@ -440,27 +440,26 @@ def scan_conjectures(catalog_dir: Path | str) -> ScanReport:
     findings: list[CatalogEntry] = []
     counterexamples: list[str] = []
     for family in FAMILIES:
-        for n in _family_levels(directory, family):
-            for entry in read_catalog_csv(catalog_path(directory, family, n)):
-                nonrigid_irreducible = entry.irreducible and not entry.rigid
-                if nonrigid_irreducible:
-                    findings.append(entry)
-                if family == "abstract":
-                    if nonrigid_irreducible and not entry.is_cycle and entry.planar:
-                        counterexamples.append(
-                            f"planar nonrigid irreducible non-cycle: {family} n={entry.n} "
-                            f"{entry.canonical}"
-                        )
-                else:
-                    long_cycle = entry.is_cycle and entry.n > 4
-                    if nonrigid_irreducible and not long_cycle:
-                        counterexamples.append(
-                            f"nonrigid irreducible non-cycle: {family} n={entry.n} "
-                            f"{entry.canonical}"
-                        )
-                    elif long_cycle and not nonrigid_irreducible:
-                        counterexamples.append(
-                            f"cycle on more than 4 points not nonrigid irreducible: "
-                            f"{family} n={entry.n} {entry.canonical}"
-                        )
+        for entry in itertools.chain.from_iterable(_levels(directory, family)):
+            nonrigid_irreducible = entry.irreducible and not entry.rigid
+            if nonrigid_irreducible:
+                findings.append(entry)
+            if family == "abstract":
+                if nonrigid_irreducible and not entry.is_cycle and entry.planar:
+                    counterexamples.append(
+                        f"planar nonrigid irreducible non-cycle: {family} n={entry.n} "
+                        f"{entry.canonical}"
+                    )
+            else:
+                long_cycle = entry.is_cycle and entry.n > 4
+                if nonrigid_irreducible and not long_cycle:
+                    counterexamples.append(
+                        f"nonrigid irreducible non-cycle: {family} n={entry.n} "
+                        f"{entry.canonical}"
+                    )
+                elif long_cycle and not nonrigid_irreducible:
+                    counterexamples.append(
+                        f"cycle on more than 4 points not nonrigid irreducible: "
+                        f"{family} n={entry.n} {entry.canonical}"
+                    )
     return ScanReport(findings=tuple(findings), counterexamples=tuple(counterexamples))

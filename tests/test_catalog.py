@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -394,6 +395,31 @@ def test_report_reads_only_level_file_names(tmp_path):
     assert catalog._family_levels(tmp_path, "abstract") == [1, 2, 3, 4]
 
 
+def _corrupt_level(directory, how):
+    """Damage one level of a built abstract n <= 5 catalog so that a report
+    read without checks would still print a row for it; returns its name."""
+    paths = {n: catalog_path(directory, "abstract", n) for n in (3, 4, 5)}
+    if how == "copied":  # level 4's rows under level 5's name
+        paths[5].write_bytes(paths[4].read_bytes())
+        return paths[5].name
+    if how == "empty":
+        write_catalog_csv(paths[3], [])
+        return paths[3].name
+    good = read_catalog_csv(paths[4])
+    write_catalog_csv(paths[4], [good[1], good[0]] + good[2:])
+    return paths[4].name
+
+
+@pytest.mark.parametrize("how", ["copied", "empty", "swapped"])
+def test_report_and_scan_check_their_levels(tmp_path, how):
+    build_catalog(tmp_path, "abstract", 5)
+    name = _corrupt_level(tmp_path, how)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        build_report(tmp_path, "abstract")
+    with pytest.raises(ValueError, match=re.escape(name)):
+        scan_conjectures(tmp_path)
+
+
 def test_report_errors(tmp_path):
     with pytest.raises(ValueError):
         build_report(tmp_path, "nonsense")
@@ -448,7 +474,7 @@ def test_scan_flags_planar_abstract_noncycle(tmp_path):
 
 def test_scan_flags_lattice_noncycle_irreducible(tmp_path):
     bad = _adj4_entry(
-        "Fake", 3, "0,0;1,0;2,0",
+        "Bfake", 3, "0,0;1,0;2,0",
         reducible=False, pointed_reducible=False, rigid=False, is_cycle=False,
     )
     write_catalog_csv(catalog_path(tmp_path, "adj4", 3), [bad])
@@ -459,7 +485,7 @@ def test_scan_flags_lattice_noncycle_irreducible(tmp_path):
 
 def test_scan_flags_long_cycle_not_irreducible(tmp_path):
     bad = _adj4_entry(
-        "Fake", 8, "0,0;1,0;2,0;0,1;2,1;0,2;1,2;2,2",
+        "Gfake", 8, "0,0;1,0;2,0;0,1;2,1;0,2;1,2;2,2",
         reducible=True, pointed_reducible=True, rigid=False, is_cycle=True,
     )
     write_catalog_csv(catalog_path(tmp_path, "adj4", 8), [bad])

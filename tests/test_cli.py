@@ -12,7 +12,7 @@ from digitop.image import graph6_encode, lattice_to_image
 from digitop.lattice import builtin_fixtures
 
 from .conftest import subprocess_env
-from .test_catalog import _abstract_entry
+from .test_catalog import _abstract_entry, _corrupt_level
 
 
 def test_usage_errors_exit_1(capsys):
@@ -144,6 +144,20 @@ def test_report_prints_gap_warnings(tmp_path, capsys):
     stdout, stderr = capsys.readouterr()
     assert stdout.splitlines()[0] == "n,1,3,4"
     assert stderr == "digitop report: missing catalog file for abstract n=2\n"
+
+
+@pytest.mark.parametrize("how", ["copied", "empty", "swapped"])
+def test_report_and_conjectures_exit_1_on_a_bad_level(tmp_path, capsys, how):
+    out = str(tmp_path)
+    assert main(["enumerate", "--family", "abstract", "--n", "5", "--out", out]) == 0
+    name = _corrupt_level(tmp_path, how)
+    capsys.readouterr()
+    assert main(["report", "--catalog", out, "--family", "abstract"]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("digitop report: ") and name in stderr
+    assert main(["conjectures", "--catalog", out]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("digitop conjectures: ") and name in stderr
 
 
 def test_conjectures_missing_catalog_exits_3(tmp_path, capsys):
