@@ -540,8 +540,8 @@ def lattice_rows(kind: int, cells: list[tuple[int, int]], /) -> list[int]:
     n = len(cells)
     if n > _MAXN:
         raise ValueError(f"cell count {n} outside 1..{_MAXN}")
-    low = min(map(min, cells), default=0)
-    if low < -(1 << 62) or max(map(max, cells), default=0) >= 1 << 62:
+    flat = [v for cell in cells for v in cell]
+    if min(flat, default=0) < -(1 << 62) or max(flat, default=0) >= 1 << 62:
         raise ValueError("cell coordinate outside -2**62..2**62-1")
     rows = [0] * n
     for i in range(n):

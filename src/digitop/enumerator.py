@@ -19,10 +19,10 @@ Redelmeier's enumeration (*Counting polyominoes: yet another attack*, 1981),
 each exactly once, packed into one int with 16 bits per row; a lattice level
 never reads a lower one.  A rotation or reflection of a cell set is an
 isomorphic image, so only the least set of each D4 orbit (in the witness
-order, sorted (x, y) tuples) is canonically labeled: a closed-form integer
-test on the set decides it before any labeling.  Each level keeps the least
-witness cell set per canonical code; a class is a union of whole orbits, so
-that witness is always the least of its orbit and is never filtered out.
+order, sorted (x, y) tuples) is canonically labeled: a test on the packed
+mask decides it before any decode.  Each level keeps the least witness cell
+set per canonical code; a class is a union of whole orbits, so that witness
+is always the least of its orbit and is never filtered out.
 The shard merge in :mod:`digitop.catalog` folds classified slices through
 the same least-witness rule.
 
@@ -93,15 +93,40 @@ class CellSet:
 # Cell-set bit masks
 
 
-def _mask_cells(mask: int) -> list[Cell]:
-    cells = []
-    while mask:
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        cells.append((bit & 15, bit >> 4))
-        mask ^= low
-    cells.sort()
-    return cells
+_TRANSPOSE_BLOCKS = [(15 * j, int(("1" * j + "0" * j) * (8 // j), 2)
+                      * int(("0000" * j + "0001" * j) * (8 // j), 16)) for j in (8, 4, 2, 1)]
+_LOW_BYTES = int("00ff" * 16, 16)
+# Each byte with its 8 bits reversed, by the multiply-and-modulus trick of HAKMEM.
+_REVERSED_BYTE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
+
+
+def _transpose(mask: int) -> int:
+    """The 16 x 16 bit transpose, bit 16r + c to bit 16c + r: a y-major mask
+    (bit 16y + x, one 16-bit lane per row) becomes x-major.  Stage j swaps,
+    in every 2j x 2j block, columns j..2j-1 of rows 0..j-1 (``blocks``) with
+    columns 0..j-1 of rows j..2j-1 (Warren, *Hacker's Delight*, section 7-3).
+    """
+    for shift, blocks in _TRANSPOSE_BLOCKS:
+        swap = (mask ^ mask >> shift) & blocks
+        mask ^= swap ^ swap << shift
+    return mask
+
+
+def _reverse_rows(packed: int, top: int) -> int:
+    """Lanes 0..top in reverse order: bytes reversed, then swapped in pairs."""
+    packed = int.from_bytes(packed.to_bytes(2 * top + 2, "big"), "little")
+    return (packed & _LOW_BYTES) << 8 | packed >> 8 & _LOW_BYTES
+
+
+def _rotate(packed: int, top: int, right: int) -> int:
+    """Lanes 0..top, bits 0..right in each, turned 180 degrees: all bits reversed."""
+    flipped = packed.to_bytes(2 * top + 2, "big").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "little") >> 15 - right
+
+
+def _witness_cells(mask: int) -> list[Cell]:
+    """The cells of a y-major mask in (x, y) order: its transpose's ascending bits."""
+    return [(bit >> 4, bit & 15) for bit in _bits(_transpose(mask))]
 
 
 def grow_masks(kind: int, n: int, k: int = 1, index: int = 0) -> list[int]:
@@ -119,6 +144,8 @@ def grow_masks(kind: int, n: int, k: int = 1, index: int = 0) -> list[int]:
         raise ValueError("adjacency kind must be 4 or 8")
     if not 1 <= n <= MAX_CELLS:
         raise ValueError(f"cell count {n} outside 1..{MAX_CELLS}")
+    if not 0 <= index < k:
+        raise ValueError(f"slice {index} of {k}: need k >= 1 and 0 <= index < k")
     # Per grid bit, the neighbors that may join a set rooted at (0, n - 1):
     # cells after the root in (x, y) order, in the n columns and 2n - 1 rows
     # that n cells can reach.
@@ -244,40 +271,33 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
     return sorted(codes)
 
 
-def _orbit_images(mask: int, cells: list[Cell]) -> Iterator[int]:
-    """The seven other rotations and reflections of a cell set, each packed
-    x-major (bit 16x + y) and translation-normalized.
-
-    ``cells`` is the set in (x, y) order and ``mask`` the same set packed
-    y-major (bit 16y + x).  With W = max x and H = max y, each image has a
-    closed form.  The transpose (y, x) comes first: packed x-major it is the
-    stored mask itself.
-    """
-    yield mask
-    w = cells[-1][0]
-    h = mask.bit_length() - 1 >> 4
-    yield sum(1 << ((w - x) << 4 | h - y) for x, y in cells)
-    yield sum(1 << ((h - y) << 4 | w - x) for x, y in cells)
-    yield sum(1 << ((w - x) << 4 | y) for x, y in cells)
-    yield sum(1 << (x << 4 | h - y) for x, y in cells)
-    yield sum(1 << ((h - y) << 4 | x) for x, y in cells)
-    yield sum(1 << (y << 4 | w - x) for x, y in cells)
+def _sorts_before(image: int, own: int) -> bool:
+    """Whether one set sorts before another of its size, both packed x-major:
+    their cells in (x, y) order are their bits in ascending order."""
+    diff = own ^ image
+    return diff & -diff & image != 0
 
 
-def _least_in_orbit(mask: int, cells: list[Cell]) -> bool:
+def _least_in_orbit(mask: int) -> bool:
     """Whether no rotation or reflection of the set sorts before it as a
     sorted (x, y) tuple, the order that :func:`least_witness_items` uses.
 
-    Packed x-major, cells in (x, y) order are bits in ascending order, so of
-    two sets of one size, A sorts before B exactly when the lowest bit of
-    A ^ B lies in A.
+    Packed x-major, the set is ``own``, the transpose of ``mask``; its other
+    images are ``mask`` (the transposed set, which alone rejects about half
+    of all sets) and ``own`` or ``mask`` with lanes reversed, turned, or both.
     """
-    own = sum(1 << (x << 4 | y) for x, y in cells)
-    for image in _orbit_images(mask, cells):
-        diff = own ^ image
-        if diff & -diff & image:
-            return False
-    return True
+    own = _transpose(mask)
+    if _sorts_before(mask, own):
+        return False
+    w = own.bit_length() - 1 >> 4  # max x
+    h = mask.bit_length() - 1 >> 4  # max y
+    turned = _rotate(own, w, h)
+    if (_sorts_before(turned, own) or _sorts_before(_reverse_rows(turned, w), own)
+            or _sorts_before(_reverse_rows(own, w), own)):
+        return False
+    turned = _rotate(mask, h, w)
+    return not (_sorts_before(turned, own) or _sorts_before(_reverse_rows(turned, h), own)
+                or _sorts_before(_reverse_rows(mask, h), own))
 
 
 def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
@@ -295,9 +315,9 @@ def mask_classes(kind: int, masks: Iterable[int]) -> list[Item]:
     def items() -> Iterator[Item]:
         codes: dict[tuple[int, ...], str] = {}
         for mask in masks:
-            cells = _mask_cells(mask)
-            if not _least_in_orbit(mask, cells):
+            if not _least_in_orbit(mask):
                 continue
+            cells = _witness_cells(mask)
             rows = tuple(_kernels.lattice_rows(kind, cells))
             code = codes.get(rows)
             if code is None:
@@ -324,7 +344,7 @@ def enumerate_abstract_connected(n: int) -> list[str]:
 
 def _cell_sets(masks: list[int]) -> list[CellSet]:
     # Sorted as plain lists: each comparison of two CellSets is a Python call.
-    return [CellSet(cells) for cells in sorted(map(_mask_cells, masks))]
+    return [CellSet(cells) for cells in sorted(map(_witness_cells, masks))]
 
 
 def enumerate_fixed_polyominoes(n: int) -> list[CellSet]:

@@ -42,3 +42,8 @@ def test_classify_codes_takes_a_plain_code_list():
         (True, True, False, True, False),
         (True, True, False, True, True),
     ]
+
+
+def test_grow_masks_returns_a_list():
+    # The tracer counts ``enumerator.cell_sets`` as ``len()`` of this result.
+    assert isinstance(catalog.grow_masks(4, 3), list)

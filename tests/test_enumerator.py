@@ -7,6 +7,7 @@ classes are re-derived from every labeled connected adjacency matrix.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -162,6 +163,14 @@ def test_grow_masks_rejects_unknown_kind(kind):
         grow_masks(kind, 4)
 
 
+@pytest.mark.parametrize("k,index", [(0, 0), (1, -1), (2, 5)])
+def test_grow_masks_rejects_a_bad_slice(k, index):
+    # Each would return a list that is no part of a partition of the level:
+    # one set of 63, none, and none of [5::2].
+    with pytest.raises(ValueError, match=rf"^slice {index} of {k}: need k >= 1 and 0 <= index < k$"):
+        grow_masks(4, 5, k, index)
+
+
 # ---------------------------------------------------------------------------
 # abstract classes
 
@@ -263,13 +272,47 @@ def _d4_images(cells):
     return images
 
 
+def _mask(cells):
+    return sum(1 << (16 * y + x) for x, y in cells)
+
+
+def _extreme_sets():
+    """14-cell sets with max x or max y 13, the most that 14 cells reach,
+    and their D4 images: a bar and a column, a diagonal, and Ls."""
+    shapes = [
+        [(x, 0) for x in range(14)],
+        [(x, x) for x in range(14)],
+        [(x, 0) for x in range(13)] + [(13, 1)],
+        [(x, 0) for x in range(7)] + [(0, y) for y in range(1, 8)],
+    ]
+    return [image for cells in shapes for image in _d4_images(cells)]
+
+
+def test_bit_matrix_helpers_match_the_cells():
+    """The transpose, lane reversal and 180 degree turn of a mask, against
+    their per-cell definitions on random sets and at the grid's edge."""
+    rng = random.Random(5)
+    sets = _extreme_sets()
+    sets += [{(rng.randrange(16), rng.randrange(16)) for _ in range(rng.randrange(1, 40))}
+             for _ in range(500)]
+    for cells in sets:
+        mask = _mask(cells)
+        w = max(x for x, _ in cells)
+        h = max(y for _, y in cells)
+        assert enumerator._transpose(mask) == _mask((y, x) for x, y in cells)
+        assert enumerator._transpose(enumerator._transpose(mask)) == mask
+        assert enumerator._reverse_rows(mask, h) == _mask((x, h - y) for x, y in cells)
+        assert enumerator._rotate(mask, h, w) == _mask((w - x, h - y) for x, y in cells)
+        assert enumerator._witness_cells(mask) == sorted(cells)
+
+
 @pytest.mark.parametrize("kind", [4, 8])
 def test_d4_images_share_a_code(kind):
     """The premise of the orbit filter, on every fixed set with n <= 6: all
     8 D4 images of a set have one canonical code."""
     for n in range(1, 7):
         for mask in grow_masks(kind, n):
-            cells = enumerator._mask_cells(mask)
+            cells = enumerator._witness_cells(mask)
             codes = {_code_of_cells(kind, image) for image in _d4_images(cells)}
             assert codes == {_code_of_cells(kind, cells)}
 
@@ -277,18 +320,19 @@ def test_d4_images_share_a_code(kind):
 @pytest.mark.parametrize("kind,top", [(4, 9), (8, 7)])
 def test_orbit_filter_keeps_exactly_the_least_image(kind, top):
     # A filter that skips one transform keeps extra sets only from adj4
-    # n = 9 and adj8 n = 7 on, which is why the levels reach that far.
-    for n in range(1, top + 1):
-        for mask in grow_masks(kind, n):
-            cells = enumerator._mask_cells(mask)
-            assert enumerator._least_in_orbit(mask, cells) == (cells == min(_d4_images(cells)))
+    # n = 9 and adj8 n = 7 on, which is why the levels reach that far.  The
+    # 14-cell sets at the grid's edge test the widest lanes and turns.
+    masks = [mask for n in range(1, top + 1) for mask in grow_masks(kind, n)]
+    for mask in masks + [_mask(cells) for cells in _extreme_sets()]:
+        cells = enumerator._witness_cells(mask)
+        assert enumerator._least_in_orbit(mask) == (cells == min(_d4_images(cells)))
 
 
 def _unfiltered_classes(kind, masks):
     """Every mask labeled, with no orbit filter: the reference for mask_classes."""
     items = []
     for mask in masks:
-        cells = enumerator._mask_cells(mask)
+        cells = enumerator._witness_cells(mask)
         items.append((_code_of_cells(kind, cells), tuple(cells)))
     return least_witness_items(items)
 

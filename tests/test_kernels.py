@@ -53,9 +53,8 @@ def test_canonical_rows_parity_on_build_inputs(core_twin, monkeypatch):
     for kind, top in ((4, 9), (8, 6)):
         for n in range(1, top + 1):
             for mask in grow_masks(kind, n):
-                cells = enumerator._mask_cells(mask)
-                if enumerator._least_in_orbit(mask, cells):
-                    graphs.append((n, _pure.lattice_rows(kind, cells)))
+                if enumerator._least_in_orbit(mask):
+                    graphs.append((n, _pure.lattice_rows(kind, enumerator._witness_cells(mask))))
     assert len(graphs) == 2101 + 1818 + 648  # and the free polyominoes and polykings
     for n, rows in graphs:
         assert core_twin.canonical_rows(n, rows) == _pure.canonical_rows(n, rows), rows
