@@ -3,14 +3,20 @@
 Three families:
 
 * ``abstract`` -- connected images on n points, grown by attaching a new
-  point to every nonempty subset of an (n-1)-point class and deduplicating
-  by canonical form.  A child is labeled only when no other non-cut point
+  point to neighbor subsets of an (n-1)-point class and deduplicating by
+  canonical form.  A child is labeled only when no other non-cut point
   has a smaller invariant (degree, then sorted neighbor degrees) than the
   new point: a deletion test in the manner of McKay's canonical
-  augmentation.  The induction still reaches every class: deleting a
-  non-cut point w of least invariant from a connected image G leaves a
-  connected parent, and attaching a point to w's neighbors there gives
-  back G as a child that passes the test;
+  augmentation (*Isomorph-free exhaustive generation*, 1998).  The
+  induction still reaches every class: deleting a non-cut point w of
+  least invariant from a connected image G leaves a connected parent, and
+  attaching a point to w's neighbors there gives back G as a child that
+  passes the test.  Two exact screens pick the subsets the test sees: a
+  degree screen drops every subset whose size alone fails it (at most
+  d0 + 1 points, d0 the least degree of a non-cut point of the parent),
+  and of the rest only the least subset of each orbit of the parent's
+  automorphism group is tried, since an orbit's subsets give isomorphic
+  children;
 * ``adj4`` -- images in Z^2 with 4-adjacency, via fixed polyominoes;
 * ``adj8`` -- images in Z^2 with 8-adjacency, via fixed polyplets.
 
@@ -34,10 +40,12 @@ for a lattice level each code with its least witness (``witness_cells``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import _kernels
-from ._pure import _bits, _spans
+from ._pure import _bits, _refine, _spans
 from .image import _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
@@ -72,8 +80,8 @@ class CellSet:
     def from_points(cls, points: Iterable[Cell]) -> "CellSet":
         """Normalize arbitrary cells by translating the minima to zero."""
         pts = list(points)
-        dx = min(x for x, _ in pts)
-        dy = min(y for _, y in pts)
+        dx = min((x for x, _ in pts), default=0)
+        dy = min((y for _, y in pts), default=0)
         return cls((x - dx, y - dy) for x, y in pts)
 
     @classmethod
@@ -81,8 +89,11 @@ class CellSet:
         """Parse the ``x,y;x,y;...`` witness format."""
         cells = []
         for chunk in text.strip().split(";"):
-            x_str, y_str = chunk.split(",")
-            cells.append((int(x_str), int(y_str)))
+            try:
+                x_str, y_str = chunk.split(",")
+                cells.append((int(x_str), int(y_str)))
+            except ValueError:
+                raise ValueError(f"witness cell {chunk!r} is not x,y") from None
         return cls(cells)
 
     def as_string(self) -> str:
@@ -233,8 +244,132 @@ def _smaller_deletable_point(rows: list[int], parent_degrees: list[int], subset:
     return False
 
 
+def _screened_subsets(rows: list[int], degrees: list[int]) -> list[int]:
+    """The nonempty neighbor subsets of a connected parent that can pass the
+    deletion test, in ascending order.
+
+    Let d0 be the least degree of a non-cut point of the parent.  Such a
+    point p stays non-cut in the child unless the subset is {p}, and gains at
+    most one neighbor.  So a subset of k >= d0 + 2 points, or of d0 + 1
+    points that misses a non-cut point of degree d0, leaves an old non-cut
+    point of smaller degree than the new point, and the test rejects it.
+    The screen depends only on degrees and cut points, so every automorphism
+    of the parent maps the subsets it keeps onto themselves.
+    """
+    everyone = (1 << len(rows)) - 1
+    noncut = [p for p in range(len(rows)) if _spans(rows, everyone ^ (1 << p))]
+    d0 = min(degrees[p] for p in noncut)
+    must = sum(1 << p for p in noncut if degrees[p] == d0)
+    points = [1 << p for p in range(len(rows))]
+    subsets = [sum(chosen) for k in range(1, d0 + 1) for chosen in combinations(points, k)]
+    rest = d0 + 1 - must.bit_count()
+    if rest >= 0:
+        free = [bit for bit in points if not bit & must]
+        subsets += [must | sum(chosen) for chosen in combinations(free, rest)]
+    return sorted(subsets)
+
+
+def _orbit(start, moves) -> set:
+    """Everything that ``moves`` reach from ``start``, breadth first."""
+    seen = {start}
+    todo = [start]
+    for item in todo:
+        for move in moves:
+            image = move(item)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def _individualized(part: list[list[int]], target: int, point: int) -> list[list[int]]:
+    """``part`` with ``point`` split off in front of the rest of cell ``target``."""
+    rest = [q for q in part[target] if q != point]
+    return part[:target] + [[point], rest] + part[target + 1:]
+
+
+def _moved_subset(moved: list[int], subset: int) -> int:
+    """The image of a point set under g, given ``moved[p] = 1 << g[p]``."""
+    return sum(map(moved.__getitem__, _bits(subset)))
+
+
+def _automorphism_generators(rows: list[int]) -> list[list[int]]:
+    """Generators of the automorphism group of a graph, each a list ``g``
+    that sends point p to ``g[p]``.
+
+    The base is the path the canonical search takes first: refine the
+    partition (:func:`digitop._pure._refine`), individualize the first point
+    of its first non-singleton cell, and repeat down to a discrete
+    partition.  From the deepest level up, each point of the broken cell
+    that the generators so far do not reach from the base point gets one
+    automorphism that fixes the earlier base points and sends the base point
+    to it, found by a backtracking search against the base path, if there
+    is one.  Those coset representatives generate the point stabilizers
+    level by level, and so the whole group, which is never listed.
+    """
+    m = len(rows)
+    adj = [list(_bits(row)) for row in rows]
+    parts = [_refine(m, adj, [list(range(m))])]
+    targets = []  # per level, the index of the cell the base breaks
+    while len(parts[-1]) < m:
+        part = parts[-1]
+        target = next(i for i, cell in enumerate(part) if len(cell) > 1)
+        targets.append(target)
+        parts.append(_refine(m, adj, _individualized(part, target, part[target][0])))
+    shapes = [[len(cell) for cell in part] for part in parts]
+    base_leaf = [cell[0] for cell in parts[-1]]
+
+    def extend(level: int, part: list[list[int]], point: int) -> list[int] | None:
+        """An automorphism that maps the base path below ``level`` onto the
+        path that individualizes ``point`` in ``part``, if one exists."""
+        part = _refine(m, adj, _individualized(part, targets[level], point))
+        if [len(cell) for cell in part] != shapes[level + 1]:
+            return None
+        if level + 1 == len(targets):
+            g = [0] * m
+            for source, cell in zip(base_leaf, part):
+                g[source] = cell[0]
+            moved = [1 << q for q in g]
+            if all(_moved_subset(moved, rows[p]) == rows[g[p]] for p in range(m)):
+                return g
+            return None
+        for nxt in part[targets[level + 1]]:
+            g = extend(level + 1, part, nxt)
+            if g is not None:
+                return g
+        return None
+
+    generators: list[list[int]] = []
+    for level in reversed(range(len(targets))):
+        cell = parts[level][targets[level]]
+        reached = _orbit(cell[0], [g.__getitem__ for g in generators])
+        for point in cell[1:]:
+            if point not in reached:
+                g = extend(level, parts[level], point)
+                if g is not None:
+                    generators.append(g)
+                    reached = _orbit(cell[0], [g.__getitem__ for g in generators])
+    return generators
+
+
+def _orbit_representatives(subsets: list[int], generators: list[list[int]]) -> list[int]:
+    """The first of ``subsets`` in each orbit of the group that
+    ``generators`` generate, in order.  ``subsets`` must be a union of
+    orbits; an orbit's other members are reached by breadth-first search."""
+    if not generators:
+        return subsets
+    moves = [partial(_moved_subset, [1 << q for q in g]) for g in generators]
+    seen: set[int] = set()
+    kept = []
+    for subset in subsets:
+        if subset not in seen:
+            kept.append(subset)
+            seen |= _orbit(subset, moves)
+    return kept
+
+
 def abstract_children(parent_codes: list[str]) -> list[str]:
-    """Attach one new point to every nonempty neighbor subset of each parent.
+    """Attach one new point to neighbor subsets of each parent.
 
     Returns the sorted canonical codes of the distinct children.
 
@@ -247,6 +382,13 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
     point to w's neighbors there gives G back as a child that passes the
     test.  The invariant is isomorphism-invariant, so which parent labeling
     is used does not matter.
+
+    Two exact screens come before any rows are built.  The degree screen
+    (:func:`_screened_subsets`) drops the subsets that fail the test on
+    degrees alone.  Of the rest, only the first subset of each orbit of the
+    parent's automorphism group is tried: an automorphism that maps one
+    subset onto another extends to an isomorphism of the two children that
+    fixes the new point, so they share a class and a test verdict.
     """
     codes: set[str] = set()
     for code in parent_codes:
@@ -256,7 +398,8 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
         degrees = [row.bit_count() for row in base]
         new_bit = 1 << m
         child_n = m + 1
-        for subset in range(1, 1 << m):
+        subsets = _screened_subsets(base, degrees)
+        for subset in _orbit_representatives(subsets, _automorphism_generators(base)):
             rows = base.copy()
             rows.append(subset)
             remaining = subset

@@ -13,6 +13,7 @@ import pytest
 
 from digitop import _kernels, catalog, enumerator
 from digitop._kernels import canonical_rows, lattice_rows
+from digitop._pure import _bits
 from digitop.catalog import (
     CatalogEntry,
     build_catalog,
@@ -95,6 +96,10 @@ def test_cellset_normalization_and_parsing():
         CellSet(frozenset({(1, 1), (2, 1)}))
     with pytest.raises(ValueError):
         CellSet(frozenset())
+    with pytest.raises(ValueError, match="^a cell set needs at least one cell$"):
+        CellSet.from_points([])
+    with pytest.raises(ValueError, match="^witness cell '1' is not x,y$"):
+        CellSet.parse("0,0;1")
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +195,27 @@ def test_abstract_classes_match_labeled_oracle(n):
     assert grown == brute
 
 
+def _joined(rows, subset):
+    """The rows of a parent with a new last point joined to ``subset``."""
+    new_bit = 1 << len(rows)
+    return [row | new_bit if subset >> p & 1 else row for p, row in enumerate(rows)] + [subset]
+
+
 def test_abstract_children_label_only_deletion_candidates(monkeypatch):
-    """From the 853 classes on 7 points, only the children that pass the
-    deletion test reach canonical labeling (108,331 children in all), and
-    they still yield every class on 8 points."""
+    """From the 853 classes on 7 points, the degree screen and one subset
+    per automorphism orbit leave 11,830 children to label, where all 108,331
+    subsets give 19,652 that pass the deletion test; both reach the same
+    11,117 classes on 8 points."""
     parents = enumerate_abstract_connected(7)
     assert len(parents) == 853
-    expected = enumerate_abstract_connected(8)
+    reference = set()
+    for code in parents:
+        rows = list(graph6_decode(code).rows)
+        degrees = [row.bit_count() for row in rows]
+        for subset in range(1, 1 << 7):
+            child = _joined(rows, subset)
+            if not enumerator._smaller_deletable_point(child, degrees, subset):
+                reference.add(_encode_rows(8, canonical_rows(8, child)))
 
     labelings = 0
     label = _kernels.canonical_rows
@@ -208,9 +227,60 @@ def test_abstract_children_label_only_deletion_candidates(monkeypatch):
 
     monkeypatch.setattr(_kernels, "canonical_rows", counted)
     codes = abstract_children(parents)
-    assert labelings == 19652
+    assert labelings == 11830
     assert len(codes) == 11117
-    assert codes == expected
+    assert codes == sorted(reference)
+
+
+def test_degree_screen_drops_only_rejected_subsets():
+    """Every nonempty subset that the degree screen drops, on every parent
+    with at most 7 points, is one the deletion test rejects."""
+    for m in range(1, 8):
+        for code in enumerate_abstract_connected(m):
+            rows = list(graph6_decode(code).rows)
+            degrees = [row.bit_count() for row in rows]
+            kept = enumerator._screened_subsets(rows, degrees)
+            assert kept == sorted(set(kept)) and 0 not in kept
+            for subset in set(range(1, 1 << m)).difference(kept):
+                child = _joined(rows, subset)
+                assert enumerator._smaller_deletable_point(child, degrees, subset), (code, subset)
+
+
+def _moved(perm, mask):
+    return sum(1 << perm[p] for p in range(len(perm)) if mask >> p & 1)
+
+
+def test_orbit_representatives_match_brute_force_automorphisms():
+    """On every class with at most 7 points, the generators are automorphisms,
+    and out of all nonempty subsets the first of each orbit they generate
+    is the least of its orbit under the whole automorphism group, listed
+    by trying all m! permutations."""
+    for m in range(1, 8):
+        for code in enumerate_abstract_connected(m):
+            rows = list(graph6_decode(code).rows)
+            edges = {(p, q) for p in range(m) for q in _bits(rows[p])}
+            group = [
+                perm for perm in itertools.permutations(range(m))
+                if all((perm[p], perm[q]) in edges for p, q in edges)
+            ]
+            generators = enumerator._automorphism_generators(rows)
+            assert {tuple(g) for g in generators} <= set(group), code
+            subsets = range(1, 1 << m)
+            least = [s for s in subsets if all(_moved(perm, s) >= s for perm in group)]
+            assert enumerator._orbit_representatives(list(subsets), generators) == least, code
+
+
+def test_automorphism_generators_of_an_asymmetric_cubic_graph():
+    """The Frucht graph is 3-regular with no automorphism but the identity.
+    Refinement cannot split a regular graph, so cell sizes alone match
+    many leaves that are no automorphism; none may become a generator."""
+    rows = [0] * 12
+    for p, jump in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)):
+        for q in ((p + 1) % 12, (p + jump) % 12):
+            rows[p] |= 1 << q
+            rows[q] |= 1 << p
+    assert [row.bit_count() for row in rows] == [3] * 12
+    assert enumerator._automorphism_generators(rows) == []
 
 
 def test_abstract_classes_are_sorted_and_canonical():
