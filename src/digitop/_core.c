@@ -515,7 +515,11 @@ static PyObject *lattice_rows(PyObject *Py_UNUSED(self), PyObject *const *args,
     long kind = PyLong_AsLongAndOverflow(args[0], &overflow);
     if (kind == -1 && PyErr_Occurred())
         return NULL;
-    int four = !overflow && kind == 4;
+    if (overflow || (kind != 4 && kind != 8)) {
+        PyErr_SetString(PyExc_ValueError, "adjacency kind must be 4 or 8");
+        return NULL;
+    }
+    int four = kind == 4;
     if (!PySequence_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "cells must be a sequence");
         return NULL;

@@ -7,8 +7,9 @@ compiler is present and skips otherwise.  Both expose the same functions with
 identical outputs, so everything above this module is backend agnostic.
 Both take exactly two positional arguments per kernel and read any sequence.
 ``n`` lies in 1..62, each of the first ``n`` rows within bits ``0..n-1``, and
-``lattice_rows`` takes at most 62 cells, each coordinate in -2**62..2**62-1.
-Outside this, both raise a TypeError or the same ValueError.
+``lattice_rows`` takes the integer kind 4 or 8, read first, and at most 62
+cells, each coordinate in -2**62..2**62-1.  Outside this, both raise a
+TypeError or the same ValueError.
 
 Set ``DIGITOP_BACKEND=python`` to force the fallback, or
 ``DIGITOP_BACKEND=cython`` to require the extension (ImportError if absent);

@@ -10,7 +10,11 @@ lexicographically least adjacency bit string over the refinement search
 leaves, and both backends implement the identical refinement, so the selected
 canonical labeling is backend independent.  The pure labeler builds each
 point's neighbor list once per call; the refinement and the relabeling read
-those lists.
+those lists.  One walk, :func:`_search`, gives both the canonical order and
+generators of the automorphism group, which :mod:`digitop.enumerator` reads
+on either backend.  It skips the rest of a branch whose leaf ties with the
+best one, where the compiled walk goes on; a skipped branch holds no smaller
+key, so both return the same rows.
 
 The one-step maps are walked in one place, :func:`one_step_maps`; the
 classification flags, the least image set and the map stream of
@@ -26,6 +30,7 @@ test, :func:`_lr_planar`, has no compiled twin.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterator
 
 __all__ = [
@@ -319,15 +324,44 @@ def _relabeled(adj: list[list[int]], order: list[int], shifts) -> tuple[int, ...
     return tuple([sum(map(weights, adj[v])) for v in order])
 
 
-def _canonical_order(n: int, rows: list[int], adj: list[list[int]]) -> list[int]:
+def _search(n: int, rows: list[int], adj: list[list[int]]) -> tuple[list[int], list[tuple]]:
+    """The canonical order and generators of the automorphism group, from
+    one individualization-refinement walk.
+
+    The order is the first leaf of least key.  A generator is a pair
+    ``(sources, images)``: it sends ``sources[j]`` to ``images[j]`` and fixes
+    every other point.  A twin cell is split in its own order and gives the
+    transpositions of its neighbouring members.  A leaf whose key equals the
+    best gives the map from the best leaf's order to its own.  That map fixes
+    the points both paths individualized before they part and maps the best
+    leaf's branch there, already walked, onto this one, so the walk goes
+    back up to that node and skips the rest of this branch: it holds no
+    smaller key.  The node is the first on the way up whose walk found the
+    best leaf.
+
+    The generators are complete: each leaf of least key is reached from the
+    best leaf by them.  Take the node where its path parts from the best
+    leaf's.  At a twin cell, a transposition moves it onto a leaf that
+    follows the best path further.  At a branching node its branch holds a
+    leaf of least key that the walk can reach (up to twin transpositions),
+    so the walk cut that branch at a tie.  After the best leaf's branch, the
+    tie was with the best leaf, and its map sends a leaf deeper in the best
+    leaf's own branch onto this one.  Before it, no branch holds such a leaf:
+    a tie with an earlier branch would pass the leaf on, and the first branch
+    of that chain would have been walked to its end and found it first.
+    """
     best_key: tuple[int, ...] | None = None
-    best_order: list[int] | None = None
+    best_order: list[int] = []
+    bests = 0  # how many times a leaf has become the best
+    generators: list[tuple] = []
     # A leaf's key packs each row left to right (new label 0 is the most
     # significant bit), so tuple comparison compares the bit strings.
     key_shifts = range(n - 1, -1, -1)
 
-    def search(partition: list[list[int]]) -> None:
-        nonlocal best_key, best_order
+    def search(partition: list[list[int]]) -> bool:
+        """Walk the subtree below ``partition``; True after a tie, until the
+        way up reaches the node where the two paths part."""
+        nonlocal best_key, best_order, bests
         part = _refine(n, adj, partition)
         target = -1
         for idx, cell in enumerate(part):
@@ -338,22 +372,28 @@ def _canonical_order(n: int, rows: list[int], adj: list[list[int]]) -> list[int]
             order = [cell[0] for cell in part]
             key = _relabeled(adj, order, key_shifts)
             if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-            return
+                best_key, best_order = key, order
+                bests += 1
+            elif key == best_key:
+                generators.append((best_order, order))
+                return True
+            return False
         cell = part[target]
         head = part[:target]
         tail = part[target + 1 :]
         if _is_twin_cell(rows, cell):
-            search(head + [[v] for v in cell] + tail)
-            return
+            for a, b in zip(cell, cell[1:]):
+                generators.append(((a, b), (b, a)))
+            return search(head + [[v] for v in cell] + tail)
+        before = bests
         for v in cell:
             rest = [u for u in cell if u != v]
-            search(head + [[v], rest] + tail)
+            if search(head + [[v], rest] + tail) and bests == before:
+                return True
+        return False
 
     search([list(range(n))])
-    assert best_order is not None
-    return best_order
+    return best_order, generators
 
 
 def canonical_rows(n: int, rows: list[int], /) -> tuple[int, ...]:
@@ -361,14 +401,30 @@ def canonical_rows(n: int, rows: list[int], /) -> tuple[int, ...]:
 
     Complete isomorphism invariant: two inputs yield equal tuples iff they
     are isomorphic.  Individualization-refinement search over an equitable
-    partition, taking the minimum adjacency bit string over all leaves.
+    partition (:func:`_search`), taking the minimum adjacency bit string
+    over all leaves.
     Each point's neighbor list is built once per call.
     """
     _check_size(n, rows)
     if n == 1:
         return (0,)
-    adj = [[u for u in range(n) if rows[v] >> u & 1] for v in range(n)]
-    return _relabeled(adj, _canonical_order(n, rows, adj), range(n))
+    adj = [list(_bits(rows[v])) for v in range(n)]
+    return _relabeled(adj, _search(n, rows, adj)[0], range(n))
+
+
+def _automorphism_generators(rows: list[int]) -> list[list[int]]:
+    """Generators of the automorphism group of a graph, each a list ``g``
+    that sends point p to ``g[p]``: the walk's ties and twin transpositions
+    (:func:`_search`), each once."""
+    n = len(rows)
+    adj = [list(_bits(row)) for row in rows]
+    generators = {}
+    for sources, images in _search(n, rows, adj)[1]:
+        g = list(range(n))
+        for source, image in zip(sources, images):
+            g[source] = image
+        generators[tuple(g)] = g
+    return list(generators.values())
 
 
 def one_step_maps(
@@ -533,10 +589,15 @@ def lattice_rows(kind: int, cells: list[tuple[int, int]], /) -> list[int]:
     """Adjacency rows induced on a list of grid cells.
 
     ``kind`` 4: orthogonal unit steps only; ``kind`` 8: both coordinates
-    differ by at most 1.  Cell order defines the labels.  Both backends take
-    at most 62 cells, each coordinate within ``-2**62..2**62-1`` (the
-    compiled twin's exact range), and raise the same ValueError outside.
+    differ by at most 1; any other integer is a ValueError, and a kind that
+    is no integer a TypeError, before the cells are read.  Cell order
+    defines the labels.  Both backends take at most 62 cells, each
+    coordinate within ``-2**62..2**62-1`` (the compiled twin's exact range),
+    and raise the same ValueError outside.
     """
+    kind = operator.index(kind)
+    if kind not in (4, 8):
+        raise ValueError("adjacency kind must be 4 or 8")
     n = len(cells)
     if n > _MAXN:
         raise ValueError(f"cell count {n} outside 1..{_MAXN}")

@@ -437,6 +437,8 @@ def scan_conjectures(catalog_dir: Path | str) -> ScanReport:
     directory = Path(catalog_dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"no catalog directory {directory}")
+    if not any(_family_levels(directory, family) for family in FAMILIES):
+        raise FileNotFoundError(f"no catalog files in {directory}")
     findings: list[CatalogEntry] = []
     counterexamples: list[str] = []
     for family in FAMILIES:

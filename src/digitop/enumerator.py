@@ -16,7 +16,8 @@ Three families:
   d0 + 1 points, d0 the least degree of a non-cut point of the parent),
   and of the rest only the least subset of each orbit of the parent's
   automorphism group is tried, since an orbit's subsets give isomorphic
-  children;
+  children.  The group's generators come from the canonical labeler's own
+  search (:func:`digitop._pure._search`) on both backends;
 * ``adj4`` -- images in Z^2 with 4-adjacency, via fixed polyominoes;
 * ``adj8`` -- images in Z^2 with 8-adjacency, via fixed polyplets.
 
@@ -40,12 +41,11 @@ for a lattice level each code with its least witness (``witness_cells``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import _kernels
-from ._pure import _bits, _refine, _spans
+from ._pure import _automorphism_generators, _bits, _spans
 from .image import _encode_rows, graph6_decode
 
 FAMILIES = ("abstract", "adj4", "adj8")
@@ -269,102 +269,27 @@ def _screened_subsets(rows: list[int], degrees: list[int]) -> list[int]:
     return sorted(subsets)
 
 
-def _orbit(start, moves) -> set:
-    """Everything that ``moves`` reach from ``start``, breadth first."""
-    seen = {start}
-    todo = [start]
-    for item in todo:
-        for move in moves:
-            image = move(item)
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
-    return seen
-
-
-def _individualized(part: list[list[int]], target: int, point: int) -> list[list[int]]:
-    """``part`` with ``point`` split off in front of the rest of cell ``target``."""
-    rest = [q for q in part[target] if q != point]
-    return part[:target] + [[point], rest] + part[target + 1:]
-
-
-def _moved_subset(moved: list[int], subset: int) -> int:
-    """The image of a point set under g, given ``moved[p] = 1 << g[p]``."""
-    return sum(map(moved.__getitem__, _bits(subset)))
-
-
-def _automorphism_generators(rows: list[int]) -> list[list[int]]:
-    """Generators of the automorphism group of a graph, each a list ``g``
-    that sends point p to ``g[p]``.
-
-    The base is the path the canonical search takes first: refine the
-    partition (:func:`digitop._pure._refine`), individualize the first point
-    of its first non-singleton cell, and repeat down to a discrete
-    partition.  From the deepest level up, each point of the broken cell
-    that the generators so far do not reach from the base point gets one
-    automorphism that fixes the earlier base points and sends the base point
-    to it, found by a backtracking search against the base path, if there
-    is one.  Those coset representatives generate the point stabilizers
-    level by level, and so the whole group, which is never listed.
-    """
-    m = len(rows)
-    adj = [list(_bits(row)) for row in rows]
-    parts = [_refine(m, adj, [list(range(m))])]
-    targets = []  # per level, the index of the cell the base breaks
-    while len(parts[-1]) < m:
-        part = parts[-1]
-        target = next(i for i, cell in enumerate(part) if len(cell) > 1)
-        targets.append(target)
-        parts.append(_refine(m, adj, _individualized(part, target, part[target][0])))
-    shapes = [[len(cell) for cell in part] for part in parts]
-    base_leaf = [cell[0] for cell in parts[-1]]
-
-    def extend(level: int, part: list[list[int]], point: int) -> list[int] | None:
-        """An automorphism that maps the base path below ``level`` onto the
-        path that individualizes ``point`` in ``part``, if one exists."""
-        part = _refine(m, adj, _individualized(part, targets[level], point))
-        if [len(cell) for cell in part] != shapes[level + 1]:
-            return None
-        if level + 1 == len(targets):
-            g = [0] * m
-            for source, cell in zip(base_leaf, part):
-                g[source] = cell[0]
-            moved = [1 << q for q in g]
-            if all(_moved_subset(moved, rows[p]) == rows[g[p]] for p in range(m)):
-                return g
-            return None
-        for nxt in part[targets[level + 1]]:
-            g = extend(level + 1, part, nxt)
-            if g is not None:
-                return g
-        return None
-
-    generators: list[list[int]] = []
-    for level in reversed(range(len(targets))):
-        cell = parts[level][targets[level]]
-        reached = _orbit(cell[0], [g.__getitem__ for g in generators])
-        for point in cell[1:]:
-            if point not in reached:
-                g = extend(level, parts[level], point)
-                if g is not None:
-                    generators.append(g)
-                    reached = _orbit(cell[0], [g.__getitem__ for g in generators])
-    return generators
-
-
 def _orbit_representatives(subsets: list[int], generators: list[list[int]]) -> list[int]:
     """The first of ``subsets`` in each orbit of the group that
     ``generators`` generate, in order.  ``subsets`` must be a union of
     orbits; an orbit's other members are reached by breadth-first search."""
     if not generators:
         return subsets
-    moves = [partial(_moved_subset, [1 << q for q in g]) for g in generators]
+    # A generator g moves a point set bit by bit: bit p goes to bit g[p].
+    moves = [[1 << q for q in g].__getitem__ for g in generators]
     seen: set[int] = set()
     kept = []
     for subset in subsets:
         if subset not in seen:
             kept.append(subset)
-            seen |= _orbit(subset, moves)
+            seen.add(subset)
+            todo = [subset]
+            for item in todo:
+                for move in moves:
+                    image = sum(map(move, _bits(item)))
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append(image)
     return kept
 
 
@@ -388,7 +313,10 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
     degrees alone.  Of the rest, only the first subset of each orbit of the
     parent's automorphism group is tried: an automorphism that maps one
     subset onto another extends to an isomorphism of the two children that
-    fixes the new point, so they share a class and a test verdict.
+    fixes the new point, so they share a class and a test verdict.  The
+    generators come from the labeler's walk over the parent, which meets
+    every automorphism as a pair of leaves of equal key, and each orbit is
+    closed by breadth-first search over them.
     """
     codes: set[str] = set()
     for code in parent_codes:

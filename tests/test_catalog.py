@@ -494,9 +494,12 @@ def test_scan_flags_long_cycle_not_irreducible(tmp_path):
     assert "not nonrigid irreducible" in report.counterexamples[0]
 
 
-def test_scan_of_empty_directory_is_consistent(tmp_path):
-    report = scan_conjectures(tmp_path)
-    assert report.consistent and report.findings == ()
+def test_scan_of_empty_directory_raises(tmp_path):
+    """A directory with no level file is no catalog: the scan refuses it, as
+    a report does, rather than call it consistent."""
+    (tmp_path / "abstract_n3.csv").write_text("")  # not a level file name
+    with pytest.raises(FileNotFoundError, match=f"no catalog files in {re.escape(str(tmp_path))}$"):
+        scan_conjectures(tmp_path)
 
 
 def test_scan_of_missing_directory_raises(tmp_path):

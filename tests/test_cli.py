@@ -167,6 +167,13 @@ def test_conjectures_missing_catalog_exits_3(tmp_path, capsys):
     assert "no catalog directory" in stderr
 
 
+def test_conjectures_empty_catalog_exits_3(tmp_path, capsys):
+    assert main(["conjectures", "--catalog", str(tmp_path)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert "no catalog files" in stderr
+
+
 def test_conjectures_counterexample_exits_2(tmp_path, capsys):
     bad = _abstract_entry(
         "Fake", 7, reducible=False, pointed_reducible=False, rigid=False,

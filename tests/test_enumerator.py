@@ -272,8 +272,9 @@ def test_orbit_representatives_match_brute_force_automorphisms():
 
 def test_automorphism_generators_of_an_asymmetric_cubic_graph():
     """The Frucht graph is 3-regular with no automorphism but the identity.
-    Refinement cannot split a regular graph, so cell sizes alone match
-    many leaves that are no automorphism; none may become a generator."""
+    Refinement cannot split a regular graph, so the walk reaches many
+    leaves; a generator comes only from a twin cell or from a leaf whose
+    key equals the best, and none may appear."""
     rows = [0] * 12
     for p, jump in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)):
         for q in ((p + 1) % 12, (p + jump) % 12):
@@ -281,6 +282,35 @@ def test_automorphism_generators_of_an_asymmetric_cubic_graph():
             rows[q] |= 1 << p
     assert [row.bit_count() for row in rows] == [3] * 12
     assert enumerator._automorphism_generators(rows) == []
+
+
+_PETERSEN = list(itertools.combinations(range(5), 2))  # points: pairs, adjacent when disjoint
+
+
+@pytest.mark.parametrize("n,adjacent,order", [
+    pytest.param(10, lambda p, q: not set(_PETERSEN[p]) & set(_PETERSEN[q]), 120, id="Petersen"),
+    pytest.param(8, lambda p, q: (p ^ q).bit_count() == 1, 48, id="3-cube"),
+    pytest.param(9, lambda p, q: (p - q) % 9 in (1, 8), 18, id="C9"),
+    pytest.param(6, lambda p, q: (p < 3) != (q < 3), 72, id="K3,3"),
+    pytest.param(9, lambda p, q: (p // 3 == q // 3) != (p % 3 == q % 3), 72, id="K3xK3"),
+])
+def test_automorphism_generators_give_the_group_order(n, adjacent, order):
+    """On vertex-transitive graphs past the n <= 7 oracle, where the walk
+    cuts most tied branches short, the generators are automorphisms and
+    their closure, listed breadth first, is the whole group."""
+    rows = [sum(1 << q for q in range(n) if q != p and adjacent(p, q)) for p in range(n)]
+    generators = enumerator._automorphism_generators(rows)
+    for g in generators:
+        assert all(_moved(g, rows[p]) == rows[g[p]] for p in range(n)), g
+    group = {tuple(range(n))}
+    todo = list(group)
+    for perm in todo:
+        for g in generators:
+            image = tuple(g[p] for p in perm)
+            if image not in group:
+                group.add(image)
+                todo.append(image)
+    assert len(group) == order
 
 
 def test_abstract_classes_are_sorted_and_canonical():

@@ -272,6 +272,15 @@ def test_kernel_size_contract(backend, request):
         with pytest.raises(TypeError):
             kernel(*args, None)
 
+    # The adjacency kind is read before the cells: 4 or 8, and an integer.
+    too_many = [(x, 0) for x in range(63)]
+    for kind in (5, 0, -4, 2**70, True):
+        with pytest.raises(ValueError, match=r"^adjacency kind must be 4 or 8$"):
+            kernels.lattice_rows(kind, too_many)
+    for kind in ("4", None, 4.0):
+        with pytest.raises(TypeError):
+            kernels.lattice_rows(kind, too_many)
+
     # Lattice coordinates lie in -2**62..2**62-1, where every difference is
     # exact in a signed 64-bit word.
     top, bottom = 2**62 - 1, -(2**62)
