@@ -23,6 +23,8 @@
  *    admissible images of a point x as one mask, N[x] & N[f(u)] over the
  *    assigned neighbours u of x, tried in ascending order.  The maps
  *    therefore come in the order of _pure.one_step_maps;
+ *  - the classification flags: after the size and connectivity checks, the
+ *    same dominated-point screen over the first n rows before any walk;
  *  - the least image set: the same exact bound skips a subtree once every
  *    image set below it comes no earlier than the best one found.
  *
@@ -416,6 +418,12 @@ static PyObject *classify_flags(PyObject *Py_UNUSED(self), PyObject *const *args
     if (two_args("classify_flags", nargs) < 0 || load(args[0], args[1]) < 0 ||
         prepare_maps() < 0)
         return NULL;
+    /* A dominated point, N[x] within N[y] for a neighbour y, settles all
+     * three flags with no walk: x goes to y and every other point stays. */
+    for (int x = 0; x < cn; x++)
+        for (uint64_t nb = rows_[x] & ~((uint64_t)1 << x); nb; nb &= nb - 1)
+            if (!(closed[x] & ~closed[ctz(nb)]))
+                return PyTuple_Pack(3, Py_True, Py_True, Py_False);
     fl_reducible = fl_pointed = fl_moved = 0;
     walk(0, 0, 0, flags_at_map, NULL);
     return PyTuple_Pack(3, fl_reducible ? Py_True : Py_False, fl_pointed ? Py_True : Py_False,
@@ -482,8 +490,9 @@ static PyObject *min_image_nonsurjective(PyObject *Py_UNUSED(self), PyObject *co
 
 #define COORD_LIMIT (1LL << 62)
 
-/* Reads one cell as an (x, y) pair, as _pure's `x, y = cells[i]` does.  Each
- * coordinate must lie in -2**62..2**62-1, where every difference is exact. */
+/* Reads one cell as an (x, y) pair, as _pure does: its length, then each
+ * coordinate in turn, which must lie in -2**62..2**62-1, where every
+ * difference is exact. */
 static int read_cell(PyObject *cell, long long xy[2])
 {
     PyObject *pair = PySequence_Fast(cell, "a cell must be an (x, y) pair");

@@ -23,9 +23,9 @@ same maps in the same order with the same state (a point's admissible images
 as one mask; each map's image set as one mask and its fixed-point count), and
 hands each map to a per-kernel leaf.  Both walkers reject a disconnected
 graph, so callers need no connectivity check of their own.  Only the least
-image set prunes the walk, by an exact bound (:func:`_least_completion`);
-the classification flags and the map stream see every map.  The planarity
-test, :func:`_lr_planar`, has no compiled twin.
+image set prunes the walk, by an exact bound (:func:`_least_completion`).
+Both twins' flags first try a dominated point, which settles them with no
+walk.  The planarity test, :func:`_lr_planar`, has no compiled twin.
 """
 
 from __future__ import annotations
@@ -517,11 +517,16 @@ def _walk(
 def classify_flags(n: int, rows: list[int], /) -> tuple[bool, bool, bool]:
     """(reducible, pointed_reducible, rigid) for a connected image.
 
-    One pass over :func:`one_step_maps`.  Stops at the first pointed
-    non-surjection, which settles all three verdicts; the negative verdicts
-    require exhausting the stream.
+    A dominated point settles all three verdicts: if N[x] is within N[y]
+    for a neighbour y, sending x to y is a pointed non-surjection (Nowakowski
+    and Winkler, 1983).  Otherwise one pass over :func:`one_step_maps` stops
+    at the first pointed non-surjection; the negative verdicts exhaust it.
     """
     maps = one_step_maps(n, rows)  # checks n before the shift below
+    closed = [rows[x] | 1 << x for x in range(n)]
+    if any(near & ~closed[y] == 0  # x -> y, every other point fixed
+           for x, near in enumerate(closed) for y in _bits(near ^ 1 << x)):
+        return True, True, False
     full = (1 << n) - 1
     reducible = False
     non_identity = False
@@ -591,9 +596,9 @@ def lattice_rows(kind: int, cells: list[tuple[int, int]], /) -> list[int]:
     ``kind`` 4: orthogonal unit steps only; ``kind`` 8: both coordinates
     differ by at most 1; any other integer is a ValueError, and a kind that
     is no integer a TypeError, before the cells are read.  Cell order
-    defines the labels.  Both backends take at most 62 cells, each
-    coordinate within ``-2**62..2**62-1`` (the compiled twin's exact range),
-    and raise the same ValueError outside.
+    defines the labels.  Both backends take at most 62 cells, each an
+    (x, y) pair of integers within ``-2**62..2**62-1`` (the compiled twin's
+    exact range), read cell by cell, and raise the same ValueError outside.
     """
     kind = operator.index(kind)
     if kind not in (4, 8):
@@ -601,14 +606,19 @@ def lattice_rows(kind: int, cells: list[tuple[int, int]], /) -> list[int]:
     n = len(cells)
     if n > _MAXN:
         raise ValueError(f"cell count {n} outside 1..{_MAXN}")
-    flat = [v for cell in cells for v in cell]
-    if min(flat, default=0) < -(1 << 62) or max(flat, default=0) >= 1 << 62:
-        raise ValueError("cell coordinate outside -2**62..2**62-1")
+    points = []  # each coordinate range-checked as soon as it is read, as in C
+    for i in range(n):
+        if len(pair := tuple(cells[i])) != 2:
+            raise ValueError("a cell must be an (x, y) pair")
+        if not (-(1 << 62) <= (x := operator.index(pair[0])) < 1 << 62
+                and -(1 << 62) <= (y := operator.index(pair[1])) < 1 << 62):
+            raise ValueError("cell coordinate outside -2**62..2**62-1")
+        points.append((x, y))
     rows = [0] * n
     for i in range(n):
-        xi, yi = cells[i]
+        xi, yi = points[i]
         for j in range(i + 1, n):
-            xj, yj = cells[j]
+            xj, yj = points[j]
             dx = xi - xj
             dy = yi - yj
             if kind == 4:

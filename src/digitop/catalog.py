@@ -9,11 +9,13 @@ its family and n, its codes are on n points and strictly ascend, and a level
 has at least one row) and kept, so builds resume per n; reports and the
 conjecture scan read every level through the same check, and a file that
 fails it raises an error naming it.  Abstract levels grow from the level
-below; lattice levels stand alone.  A level is built as k slices, each grown
-and classified on its own (in one worker pool per build) and folded by least
-witness: slice i of k grows from every k-th parent code, or keeps every k-th
-cell set in search order, starting at the i-th.  A shard run writes one
-slice under ``shards/``; the merge folds them without classifying again.
+below, each child classified from the rows it was labeled with and the
+planarity its parent settles, if this build classified the parent; lattice
+levels stand alone.  A level is built as k slices, each grown and classified
+on its own (in one worker pool per build) and folded by least witness: slice
+i of k grows from every k-th parent code, or keeps every k-th cell set in
+search order, starting at the i-th.  A shard run writes one slice under
+``shards/``; the merge folds them without classifying again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .enumerator import (
-    _ONE_POINT_CODE,
+    _ONE_POINT,
     FAMILIES,
     MAX_CELLS,
     CellSet,
@@ -39,7 +41,7 @@ from .enumerator import (
     least_witness_items,
     mask_classes,
 )
-from .image import graph6_decode, is_planar
+from .image import DigitalImage, graph6_decode, is_planar
 
 CSV_HEADER = (
     "family",
@@ -212,14 +214,20 @@ def worker_count() -> int:
     return count
 
 
-def _classify_codes(codes: list[str]) -> list[tuple[bool, bool, bool, bool, bool]]:
+def _classify_codes(codes: list[str], children: list[tuple] | None = None) -> list[tuple]:
     """The flags of each code, in one process: a build runs whole slices in
     parallel instead.  Kept under this name as the seam where a level's
-    classification can be timed or replaced on its own."""
+    classification can be timed or replaced on its own.  ``children``, if
+    given, is :func:`abstract_children`'s list for ``codes``, whose rows and
+    settled planarity stand in for a decode and a test."""
     flags = []
-    for image in map(graph6_decode, codes):
-        cycle = all(image.degree(i) == 2 for i in range(image.n))
-        flags.append((*_kernels.classify_flags(image.n, image.rows), is_planar(image), cycle))
+    for code, (_, rows, planar) in zip(codes, children or [(None, None, None)] * len(codes)):
+        image = graph6_decode(code) if rows is None else None
+        rows = rows or image.rows
+        if planar is None:
+            planar = is_planar(image or DigitalImage(len(rows), rows))
+        cycle = all(row.bit_count() == 2 for row in rows)
+        flags.append((*_kernels.classify_flags(len(rows), rows), planar, cycle))
     return flags
 
 
@@ -251,19 +259,21 @@ def _read_level(path: Path, family: str, n: int, *, is_slice: bool = False) -> l
     return entries
 
 
-def _slice(family: str, n: int, below: list[str], k: int, index: int) -> list[CatalogEntry]:
+def _slice(family: str, n: int, below: list[str], planar: list[bool] | None, k: int,
+           index: int) -> list[CatalogEntry]:
     """Slice ``index`` of k of level n, grown and classified: what a shard
     run writes.  Module-level so that a worker process can run it."""
     if family == "abstract":
-        codes = abstract_children(below[index::k]) if n > 1 else [_ONE_POINT_CODE][index::k]
-        items = [(code, None) for code in codes]
-    else:
-        items = mask_classes(_KINDS[family], grow_masks(_KINDS[family], n, k, index))
+        children = (abstract_children(below[index::k], planar and planar[index::k])
+                    if n > 1 else [_ONE_POINT][index::k])
+        codes = [code for code, _, _ in children]
+        flags = _classify_codes(codes, children)
+        del children  # frees the rows before the entries are built
+        return [CatalogEntry(family, n, code, *flag) for code, flag in zip(codes, flags)]
+    items = mask_classes(_KINDS[family], grow_masks(_KINDS[family], n, k, index))
     flags = _classify_codes([code for code, _ in items])
-    return [
-        CatalogEntry(family, n, code, *flag, None if cells is None else CellSet(cells))
-        for (code, cells), flag in zip(items, flags)
-    ]
+    return [CatalogEntry(family, n, code, *flag, CellSet(cells))
+            for (code, cells), flag in zip(items, flags)]
 
 
 def _merged_entries(parts: Iterable[list[CatalogEntry]]) -> list[CatalogEntry]:
@@ -310,6 +320,7 @@ def build_catalog(
 
     collected: list[CatalogEntry] = []
     below: list[str] = []  # level n - 1's class codes, which abstract levels grow from
+    planar: list[bool] | None = None  # their planarity, if classified in this build
     first = 1 if family == "abstract" or shard is None else n_max
     with ExitStack() as stack:
         pool = None
@@ -320,10 +331,10 @@ def build_catalog(
                 if shard is None:
                     say(f"{family} n={n}: kept existing file ({len(entries)} classes)")
                     collected.extend(entries)
-                below = [entry.canonical for entry in entries]
+                below, planar = [entry.canonical for entry in entries], None
                 continue
             if shard is not None and n < n_max:
-                below = abstract_children(below) if n > 1 else [_ONE_POINT_CODE]
+                below = [c for c, _, _ in (abstract_children(below) if n > 1 else [_ONE_POINT])]
                 continue
 
             sliced = n == n_max and shards > 1
@@ -335,7 +346,8 @@ def build_catalog(
             wanted = range(k) if shard is None else (shard,)
             missing = [i for i in wanted if not (sliced and slice_paths[i].exists())]
             say(f"{family} n={n}: classifying {len(missing)} of {k} slices")
-            compute = partial(_slice, family, n, below if family == "abstract" else [], k)
+            grows_from = (below, planar) if family == "abstract" else ([], None)
+            compute = partial(_slice, family, n, *grows_from, k)
             run = map
             if len(missing) > 1 and worker_count() > 1:
                 from concurrent.futures import ProcessPoolExecutor  # only where a pool starts
@@ -357,6 +369,7 @@ def build_catalog(
             say(f"{family} n={n}: wrote {path} ({len(entries)} classes)")
             collected.extend(entries)
             below = [entry.canonical for entry in entries]
+            planar = [entry.planar for entry in entries] if len(missing) == k else None
     return collected
 
 

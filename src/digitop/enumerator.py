@@ -7,17 +7,13 @@ Three families:
   canonical form.  A child is labeled only when no other non-cut point
   has a smaller invariant (degree, then sorted neighbor degrees) than the
   new point: a deletion test in the manner of McKay's canonical
-  augmentation (*Isomorph-free exhaustive generation*, 1998).  The
-  induction still reaches every class: deleting a non-cut point w of
-  least invariant from a connected image G leaves a connected parent, and
-  attaching a point to w's neighbors there gives back G as a child that
-  passes the test.  Two exact screens pick the subsets the test sees: a
-  degree screen drops every subset whose size alone fails it (at most
-  d0 + 1 points, d0 the least degree of a non-cut point of the parent),
-  and of the rest only the least subset of each orbit of the parent's
-  automorphism group is tried, since an orbit's subsets give isomorphic
-  children.  The group's generators come from the canonical labeler's own
-  search (:func:`digitop._pure._search`) on both backends;
+  augmentation (*Isomorph-free exhaustive generation*, 1998), which still
+  reaches every class (:func:`abstract_children`).  Two exact screens pick
+  the subsets the test sees: a degree screen, and one subset per orbit of
+  the parent's automorphism group, whose generators come from the
+  canonical labeler's own search (:func:`digitop._pure._search`).  Each
+  child keeps the canonical rows it was labeled with, and its planarity
+  where the parent settles it, for its classification;
 * ``adj4`` -- images in Z^2 with 4-adjacency, via fixed polyominoes;
 * ``adj8`` -- images in Z^2 with 8-adjacency, via fixed polyplets.
 
@@ -52,7 +48,7 @@ FAMILIES = ("abstract", "adj4", "adj8")
 
 _W = 16  # bit-grid stride; supports cell sets up to 14 cells
 MAX_CELLS = 14
-_ONE_POINT_CODE = "@"  # graph6 of the single-point image
+_ONE_POINT = ("@", (0,), True)  # the single-point class: graph6 code, rows, planarity
 
 Cell = tuple[int, int]
 Item = tuple[str, tuple[Cell, ...] | None]  # canonical code, least witness cells
@@ -293,10 +289,14 @@ def _orbit_representatives(subsets: list[int], generators: list[list[int]]) -> l
     return kept
 
 
-def abstract_children(parent_codes: list[str]) -> list[str]:
+def abstract_children(parent_codes: list[str], planar: list[bool] | None = None) -> list[tuple]:
     """Attach one new point to neighbor subsets of each parent.
 
-    Returns the sorted canonical codes of the distinct children.
+    Returns ``(code, canonical rows, planarity or None)`` per distinct
+    child, sorted by code.  ``planar``, if given, holds each parent's
+    planarity.  A child of a nonplanar parent is nonplanar; one of a planar
+    parent is planar when its new point has one neighbor or two adjacent
+    ones (the point goes in a face next to that edge); else it is None.
 
     A child is canonically labeled only when no other non-cut point has a
     smaller invariant than the new point (degree, then the sorted degrees of
@@ -318,14 +318,11 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
     every automorphism as a pair of leaves of equal key, and each orbit is
     closed by breadth-first search over them.
     """
-    codes: set[str] = set()
-    for code in parent_codes:
-        parent = graph6_decode(code)
-        m = parent.n
-        base = list(parent.rows)
+    children: dict[tuple[int, ...], bool | None] = {}  # canonical rows -> planarity
+    for code, parent_planar in zip(parent_codes, planar or [None] * len(parent_codes)):
+        base = list(graph6_decode(code).rows)
         degrees = [row.bit_count() for row in base]
-        new_bit = 1 << m
-        child_n = m + 1
+        new_bit = 1 << len(base)
         subsets = _screened_subsets(base, degrees)
         for subset in _orbit_representatives(subsets, _automorphism_generators(base)):
             rows = base.copy()
@@ -337,9 +334,12 @@ def abstract_children(parent_codes: list[str]) -> list[str]:
                 rows[low.bit_length() - 1] |= new_bit
             if _smaller_deletable_point(rows, degrees, subset):
                 continue
-            canon = _kernels.canonical_rows(child_n, rows)
-            codes.add(_encode_rows(child_n, canon))
-    return sorted(codes)
+            canon = _kernels.canonical_rows(len(rows), rows)
+            if children.get(canon) is None:  # keep a flag that another parent settled
+                a = (subset & -subset).bit_length() - 1
+                fits_a_face = subset == 1 << a or subset.bit_count() == 2 and base[a] & subset
+                children[canon] = parent_planar and (True if fits_a_face else None)
+    return sorted((_encode_rows(len(rows), rows), rows, flag) for rows, flag in children.items())
 
 
 def _sorts_before(image: int, own: int) -> bool:
@@ -407,9 +407,9 @@ def enumerate_abstract_connected(n: int) -> list[str]:
     """The sorted canonical codes of the connected images on exactly n points."""
     if n < 1:
         raise ValueError("point count must be positive")
-    codes = [_ONE_POINT_CODE]
+    codes = [_ONE_POINT[0]]
     for _ in range(2, n + 1):
-        codes = abstract_children(codes)
+        codes = [code for code, _, _ in abstract_children(codes)]
     return codes
 
 

@@ -23,8 +23,8 @@ from digitop.catalog import (
     worker_count,
     write_catalog_csv,
 )
-from digitop.enumerator import CellSet
-from digitop.image import LatticeImage, canonical_form, lattice_to_image
+from digitop.enumerator import CellSet, abstract_children
+from digitop.image import LatticeImage, canonical_form, graph6_encode, lattice_to_image
 from digitop.lattice import cycle_image
 
 from .conftest import subprocess_env
@@ -526,6 +526,44 @@ def test_serial_build_with_one_thread(monkeypatch, tmp_path):
     monkeypatch.setenv("DIGITOP_THREADS", "1")
     entries = build_catalog(tmp_path, "abstract", 4)
     assert len(entries) == 10
+
+
+def test_serial_build_decodes_parents_and_tests_only_unsettled_planarity(monkeypatch, tmp_path):
+    """A serial abstract build to n = 7 decodes only its parents, the 143
+    classes with n <= 6, each once.  It runs the planarity test only on the
+    296 classes whose parent settles nothing, and its flags are those that
+    the plain code list gives."""
+    monkeypatch.setenv("DIGITOP_THREADS", "1")
+    decoded, tested = [], []
+    decode, planarity = catalog.graph6_decode, catalog.is_planar
+
+    def counted_decode(code):
+        decoded.append(code)
+        return decode(code)
+
+    def counted_planarity(image):
+        tested.append(graph6_encode(image))
+        return planarity(image)
+
+    for module in (catalog, enumerator):
+        monkeypatch.setattr(module, "graph6_decode", counted_decode)
+    monkeypatch.setattr(catalog, "is_planar", counted_planarity)
+    entries = build_catalog(tmp_path, "abstract", 7)
+    assert len(decoded) == 143
+    assert sorted(decoded) == sorted(entry.canonical for entry in entries if entry.n <= 6)
+    monkeypatch.undo()
+
+    levels = [[entry for entry in entries if entry.n == n] for n in range(1, 8)]
+    unsettled = []
+    for parents in levels[:-1]:
+        children = abstract_children([e.canonical for e in parents], [e.planar for e in parents])
+        unsettled += [code for code, _, flag in children if flag is None]
+    assert len(tested) == 296 and sorted(tested) == sorted(unsettled)
+    for level in levels:
+        flags = catalog._classify_codes([entry.canonical for entry in level])
+        assert flags == [
+            (e.reducible, e.pointed_reducible, e.rigid, e.planar, e.is_cycle) for e in level
+        ]
 
 
 _WORKER_LEVELS = (("abstract", 7), ("adj4", 8), ("adj8", 6))

@@ -47,7 +47,7 @@ def test_canonical_rows_parity_on_build_inputs(core_twin, monkeypatch):
     monkeypatch.setattr(_kernels, "canonical_rows", recorded)
     codes = ["@"]
     for _ in range(2, 8):
-        codes = abstract_children(codes)
+        codes = [code for code, _, _ in abstract_children(codes)]
     assert (len(codes), len(graphs)) == (853, 1028)
     monkeypatch.undo()
     for kind, top in ((4, 9), (8, 6)):
@@ -92,6 +92,58 @@ def test_one_step_kernels_parity_exhaustive(core_twin):
         assert core_twin.min_image_nonsurjective(n, rows) == _pure.min_image_nonsurjective(
             n, rows
         ), rows
+
+
+def _plain_flags(n, rows):
+    """(reducible, pointed_reducible, rigid) folded over the one-step maps,
+    with no screen; the first pointed non-surjection settles all three."""
+    full = (1 << n) - 1
+    reducible = moved = False
+    for _, image, fixed in _pure.one_step_maps(n, rows):
+        if image != full:
+            if fixed:
+                return True, True, False
+            reducible = True
+        moved = moved or fixed < n
+    return reducible, False, not moved
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_classify_flags_equal_a_plain_fold(backend, request):
+    """The dominated-point screen changes no verdict: on every connected
+    class with n <= 7, each twin gives the flags of a plain fold."""
+    kernels = _pure if backend == "pure" else request.getfixturevalue("core_twin")
+    images = [graph6_decode(c) for n in range(1, 8) for c in enumerate_abstract_connected(n)]
+    assert len(images) == 996
+    for image in images:
+        n, rows = image.n, list(image.rows)
+        assert kernels.classify_flags(n, rows) == _plain_flags(n, rows), rows
+
+
+def test_twins_agree_on_any_rows(core_twin):
+    """On arbitrary row lists with n <= 7 (self-loops, asymmetric rows,
+    disconnected graphs, now and then a row out of range and rows past n),
+    both twins return the same result or raise the same exception."""
+    rng = random.Random(24)
+
+    def outcome(kernel, n, rows):
+        try:
+            return kernel(n, list(rows))
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for _ in range(20000):
+        n = rng.randint(1, 7)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        if rng.random() < 0.5:  # symmetric, self-loops kept
+            rows = [row | sum(1 << b for b in range(n) if rows[b] >> a & 1)
+                    for a, row in enumerate(rows)]
+        if rng.random() < 0.05:
+            rows[rng.randrange(n)] = rng.choice([-1, 1 << n, 1 << 70])
+        rows += [rng.getrandbits(8) for _ in range(rng.randint(0, 2))]
+        for name in ("canonical_rows", "classify_flags", "min_image_nonsurjective"):
+            twins = getattr(core_twin, name), getattr(_pure, name)
+            assert outcome(twins[0], n, rows) == outcome(twins[1], n, rows), (name, n, rows)
 
 
 def _eden_animal(rng, size):
@@ -291,6 +343,19 @@ def test_kernel_size_contract(backend, request):
         for cells in ([(0, 0), (bad, 0)], [(0, bad), (0, 0)]):
             with pytest.raises(ValueError, match=r"^cell coordinate outside -2\*\*62\.\.2\*\*62-1$"):
                 kernels.lattice_rows(8, cells)
+
+    # Each cell is an (x, y) pair of integers, read cell by cell: its length,
+    # then each coordinate's type and range in turn.
+    for cell in ((0, 1, 2), (1,), ()):
+        with pytest.raises(ValueError, match=r"^a cell must be an \(x, y\) pair$"):
+            kernels.lattice_rows(4, [(0, 0), cell])
+    for cells in ([(0, 0), (1.0, 0)], [(0, 0), (1, "0")], [(0, 0), 5], [(0, None)]):
+        with pytest.raises(TypeError):
+            kernels.lattice_rows(4, cells)
+    for cells in ([(2**62, 1.0)], [(0, 2**62), (1.0, 0)], [(0, 0, 0), (1.0, 0)]):
+        with pytest.raises(ValueError):
+            kernels.lattice_rows(4, cells)
+    assert kernels.lattice_rows(8, [(True, 0), (0, False)]) == [0b10, 0b01]
 
 
 def test_core_compiles_without_warnings(compile_core, tmp_path):
